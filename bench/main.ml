@@ -37,12 +37,11 @@ let op_engine () =
 let op_heap () =
   let h = Sim.Heap.create () in
   for i = 1 to 1000 do
-    Sim.Heap.push h ~key:(Int64.of_int (i * 7919 mod 1000)) ~seq:i ()
+    Sim.Heap.push h ~key:(i * 7919 mod 1000) ~seq:i ()
   done;
-  let rec drain () =
-    match Sim.Heap.pop h with Some _ -> drain () | None -> ()
-  in
-  drain ()
+  while not (Sim.Heap.is_empty h) do
+    Sim.Heap.pop_min h
+  done
 
 let op_rng =
   let rng = Sim.Rng.create () in
@@ -394,9 +393,8 @@ let bench_dist_observe ~exact =
 
 (* Steady-state heap churn at a fixed queue depth: prefill [depth]
    entries, then time push+pop pairs.  Run for both the live 4-ary
-   parallel-array heap and the preserved pre-PR boxed binary heap.
-   The 1e6 row is the massive-N regime where the calendar queue is
-   expected to overtake the heap. *)
+   parallel-array heap (through the engine's own push/pop_min path)
+   and the preserved boxed binary heap it replaced. *)
 let heap_depths = [ 1_000; 10_000; 100_000; 1_000_000 ]
 let heap_pairs = 200_000
 
@@ -407,12 +405,12 @@ let bench_heap_at_depth depth =
     best_of_3_timed (fun () ->
         let h = Sim.Heap.create () in
         for i = 1 to depth do
-          Sim.Heap.push h ~key:(Int64.of_int (mix i)) ~seq:i ()
+          Sim.Heap.push h ~key:(mix i) ~seq:i ()
         done;
         let t0 = now_ns () in
         for i = 1 to heap_pairs do
-          Sim.Heap.push h ~key:(Int64.of_int (mix (depth + i))) ~seq:(depth + i) ();
-          ignore (Sim.Heap.pop h)
+          Sim.Heap.push h ~key:(mix (depth + i)) ~seq:(depth + i) ();
+          Sim.Heap.pop_min h
         done;
         Int64.sub (now_ns ()) t0)
   in
@@ -443,71 +441,33 @@ let bench_heap_at_depth depth =
         ("speedup", Sim.Json.Float (per_op ref_ /. per_op live));
       ] )
 
-(* The same churn pattern through the calendar queue, reported against
-   the live heap's figure at the same depth: the crossover where O(1)
-   bucket access beats the heap's O(log n) sift is what justifies the
-   engine's [`Auto] migration. *)
-let bench_calendar_at_depth (depth, heap_ns_per_op) =
-  let total =
-    best_of_3_timed (fun () ->
-        let c = Sim.Calendar.create () in
-        for i = 1 to depth do
-          Sim.Calendar.push_ns c ~key:(mix i) ~seq:i i
-        done;
-        let t0 = now_ns () in
-        for i = 1 to heap_pairs do
-          Sim.Calendar.push_ns c ~key:(mix (depth + i)) ~seq:(depth + i) i;
-          ignore (Sim.Calendar.pop_min c)
-        done;
-        Int64.sub (now_ns ()) t0)
-  in
-  let ops = 2 * heap_pairs in
-  let per_op = total /. Float.of_int ops in
-  ( depth,
-    per_op,
-    heap_ns_per_op,
-    Sim.Json.Obj
-      [
-        ("depth", Sim.Json.Int depth);
-        ("ops", Sim.Json.Int ops);
-        ("ns_per_op", Sim.Json.Float per_op);
-        ("heap_ns_per_op", Sim.Json.Float heap_ns_per_op);
-        ("speedup_vs_heap", Sim.Json.Float (heap_ns_per_op /. per_op));
-      ] )
-
 (* Schedule+fire at one million live events with zero minor-heap
-   allocation per event — the arena engine's acceptance test.  The
-   engine runs on the calendar queue, events self-reschedule from a
-   preallocated delay table (so the call sites box no Int64 either),
-   and the measured window's [Gc.minor_words] delta must stay at the
-   noise floor: one boxed word per event would read as
+   allocation per event — the arena engine's acceptance test.  Events
+   self-reschedule with a delay computed at the call site ({!Sim.Time.t}
+   is an unboxed int), and the measured window's [Gc.minor_words] delta
+   must stay at the noise floor: one boxed word per event would read as
    minor_words_per_op >= 1, against a gate of 0.001. *)
 let bench_steady_state () =
   let live = 1_000_000 in
   let measured = 2_000_000 in
   let e =
-    Sim.Engine.create ~queue:`Calendar ~metrics:(Sim.Metrics.create ())
+    Sim.Engine.create ~metrics:(Sim.Metrics.create ())
       ~trace:(Sim.Trace.create ~enabled:false ()) ()
   in
   (* Nanosecond-granularity delays over a ~1ms window keep the million
-     live events dispersed (~1 per calendar bucket) instead of flooding
-     a handful of instants. *)
-  let delays =
-    Array.init 1024 (fun i -> Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)))
-  in
+     live events dispersed instead of flooding a handful of instants;
+     the reschedules cycle through 1024 of them. *)
+  let delay i = Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)) in
   let k = ref 0 in
   let rec self () =
     k := (!k + 1) land 1023;
-    ignore (Sim.Engine.schedule e ~delay:delays.(!k) self)
+    ignore (Sim.Engine.schedule e ~delay:(delay !k) self)
   in
   for i = 1 to live do
-    ignore
-      (Sim.Engine.schedule e
-         ~delay:(Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)))
-         self)
+    ignore (Sim.Engine.schedule e ~delay:(delay i) self)
   done;
-  (* Settle: arena capacity and calendar geometry reach their fixed
-     point before the measured window opens. *)
+  (* Settle: arena and heap capacity reach their fixed point before
+     the measured window opens. *)
   Sim.Engine.run e ~max_events:300_000;
   Gc.compact ();
   let w0 = Gc.minor_words () in
@@ -539,11 +499,6 @@ let run_engine_bench path =
     [ bench_dist_observe ~exact:false; bench_dist_observe ~exact:true ]
   in
   let heap_rows = List.map bench_heap_at_depth heap_depths in
-  let cal_rows =
-    List.map
-      (fun (depth, live, _, _) -> bench_calendar_at_depth (depth, live))
-      heap_rows
-  in
   List.iter
     (fun (name, j) ->
       match j with
@@ -558,12 +513,6 @@ let run_engine_bench path =
       Printf.printf "heap push+pop @ depth %-7d %10.1f ns/op (binary ref %.1f, %.2fx)\n"
         depth live ref_ (ref_ /. live))
     heap_rows;
-  List.iter
-    (fun (depth, cal, heap_ns, _) ->
-      Printf.printf
-        "calendar push+pop @ depth %-7d %10.1f ns/op (4-ary heap %.1f, %.2fx)\n"
-        depth cal heap_ns (heap_ns /. cal))
-    cal_rows;
   let json =
     Sim.Json.Obj
       [
@@ -572,8 +521,6 @@ let run_engine_bench path =
         ("metrics", Sim.Json.Obj metric_parts);
         ( "heap",
           Sim.Json.List (List.map (fun (_, _, _, j) -> j) heap_rows) );
-        ( "calendar",
-          Sim.Json.List (List.map (fun (_, _, _, j) -> j) cal_rows) );
       ]
   in
   Sim.Json.to_file path json;

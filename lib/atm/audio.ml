@@ -40,7 +40,7 @@ module Source = struct
 
   let make_cell t =
     let cell = Cell.make_blank ~vci:0 ~last:false in
-    Util.put_i64 cell.buf (cell.off + 0) (Sim.Engine.now t.engine);
+    Util.put_time cell.buf (cell.off + 0) (Sim.Engine.now t.engine);
     Util.put_u32 cell.buf (cell.off + 8) t.seq;
     Util.put_u16 cell.buf (cell.off + 12) samples_per_cell;
     (* Deterministic PCM ramp so tests can verify integrity. *)
@@ -108,7 +108,7 @@ module Sink = struct
 
   let cell_rx t (cell : Cell.t) =
     let now = Sim.Engine.now t.engine in
-    let stamp = Util.get_i64 cell.buf (cell.off + 0) in
+    let stamp = Util.get_time cell.buf (cell.off + 0) in
     let seq = Util.get_u32 cell.buf (cell.off + 8) in
     t.received <- t.received + 1;
     if seq > t.highest_seq then t.highest_seq <- seq;

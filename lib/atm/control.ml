@@ -11,13 +11,13 @@ let marshal = function
       let b = Bytes.make 17 '\003' in
       Util.put_u16 b 1 stream;
       Util.put_u32 b 3 unit_id;
-      Util.put_i64 b 7 stamp;
+      Util.put_time b 7 stamp;
       b
   | Index_mark { stream; offset; stamp } ->
       let b = Bytes.make 19 '\004' in
       Util.put_u16 b 1 stream;
       Util.put_u32 b 3 offset;
-      Util.put_i64 b 7 stamp;
+      Util.put_time b 7 stamp;
       b
 
 let unmarshal b =
@@ -32,7 +32,7 @@ let unmarshal b =
              {
                stream = Util.get_u16 b 1;
                unit_id = Util.get_u32 b 3;
-               stamp = Util.get_i64 b 7;
+               stamp = Util.get_time b 7;
              })
     | '\004' when Bytes.length b >= 19 ->
         Some
@@ -40,7 +40,7 @@ let unmarshal b =
              {
                stream = Util.get_u16 b 1;
                offset = Util.get_u32 b 3;
-               stamp = Util.get_i64 b 7;
+               stamp = Util.get_time b 7;
              })
     | _ -> None
 

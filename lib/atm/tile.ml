@@ -22,7 +22,7 @@ let marshal p =
   Util.put_u32 b (data_len + 4) p.frame;
   Util.put_u16 b (data_len + 8) p.count;
   Util.put_u16 b (data_len + 10) p.bytes_per_tile;
-  Util.put_i64 b (data_len + 12) p.captured_at;
+  Util.put_time b (data_len + 12) p.captured_at;
   b
 
 let unmarshal b =
@@ -41,7 +41,7 @@ let unmarshal b =
           frame = Util.get_u32 b (base + 4);
           count;
           bytes_per_tile;
-          captured_at = Util.get_i64 b (base + 12);
+          captured_at = Util.get_time b (base + 12);
           data = Bytes.sub b 0 base;
         }
   end

@@ -220,7 +220,7 @@ let server_rx ?(flow = Sim.Trace.no_flow) conn payload =
                     ~sub:Sim.Subsystem.Rpc ~cat:"rpc" ~flow "rpc.exec";
                 Atm.Net.send_frame ?flow:fl conn.c_rep_vc (Wire.marshal reply))
           in
-          if delay = 0L then respond ()
+          if delay = Sim.Time.zero then respond ()
           else ignore (Sim.Engine.schedule (engine_of ep) ~delay respond)
     end
 

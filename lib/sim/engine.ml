@@ -15,23 +15,19 @@
    - Cancellation is a tombstone: the slot word flips to [Cancelled]
      and the queue entry is discarded when the queue delivers it.
 
-   - The clock is kept as a native [int] of nanoseconds ({!Time.t} is
-     a boxed [int64]; converting on entry and exit keeps Int64 boxing
-     off the per-event path).
+   - {!Time.t} is an unboxed [int] of nanoseconds, and the heap keys
+     on it directly ([(at :> int)] is free), so timestamps cross the
+     API without boxing.
 
    - The [queue_depth] gauge is sampled every [depth_sample_mask + 1]
      schedule/cancel/fire transitions (and at the end of every {!run})
      through the gauge's flat float cell rather than boxed-float
      written on every one.
 
-   The queue itself is either the 4-ary {!Heap} (default: best cache
-   behaviour at modest populations) or the O(1)-amortized {!Calendar}
-   queue (wins once the heap's O(log n) depth dominates, around a few
-   hundred thousand live events).  [`Auto] starts on the heap and
-   migrates once if the live population crosses {!migrate_threshold}.
-   Both structures extract the exact [(key, seq)] minimum, so event
-   order — and therefore every experiment table — is invariant under
-   the queue choice and the migration point. *)
+   The queue is the 4-ary {!Heap}, keyed by [(time, seq)], so events
+   at one instant fire in scheduling order.  No experiment, scenario or
+   benchmark workload keeps more than 10,250 events live (E9), where
+   the heap is at most seven levels deep (see engine.mli). *)
 
 (* Arena slot word layout: bits 0-1 state, bit 2 daemon flag, bits 3+
    a 31-bit generation counter. *)
@@ -47,13 +43,9 @@ let max_slots = 1 lsl slot_bits
 
 type event_id = int
 
-type queue = Qheap of int Heap.t | Qcal of Calendar.t
-
 type t = {
-  mutable clock_ns : int;
-  mutable q : queue;
-  auto : bool;  (* [`Auto]: migrate heap -> calendar past the threshold *)
-  mutable migrated : bool;
+  mutable clock : Time.t;
+  q : int Heap.t;  (* arena slot indexes *)
   mutable next_id : int;
   mutable live : int;
   mutable live_user : int;
@@ -77,29 +69,16 @@ type t = {
 (* Power-of-two-minus-one: sample the gauge every 256 transitions. *)
 let depth_sample_mask = 255
 
-(* Past this many live events the heap walks >= 4 levels per
-   operation and the calendar queue's O(1) bucket access wins. *)
-let migrate_threshold = 32768
-
 let dummy_fn () = ()
 
-let create ?(queue = `Auto) ?(trace = Trace.default)
-    ?(metrics = Metrics.default) () =
-  let q, auto =
-    match queue with
-    | `Auto -> (Qheap (Heap.create ()), true)
-    | `Heap -> (Qheap (Heap.create ()), false)
-    | `Calendar -> (Qcal (Calendar.create ()), false)
-  in
+let create ?(trace = Trace.default) ?(metrics = Metrics.default) () =
   let m_queue_depth =
     Metrics.gauge metrics ~sub:Subsystem.Sim
       ~help:"scheduled, uncancelled events (sampled)" "engine.queue_depth"
   in
   {
-    clock_ns = 0;
-    q;
-    auto;
-    migrated = false;
+    clock = Time.zero;
+    q = Heap.create ();
     next_id = 0;
     live = 0;
     live_user = 0;
@@ -120,7 +99,7 @@ let create ?(queue = `Auto) ?(trace = Trace.default)
     depth_cell = Metrics.cell m_queue_depth;
   }
 
-let now t = Time.ns t.clock_ns
+let now t = t.clock
 let trace t = t.trace
 let metrics t = t.metrics
 
@@ -174,47 +153,13 @@ let free_slot t slot w =
   t.free_top <- t.free_top + 1
 
 (* ------------------------------------------------------------------ *)
-(* Queue dispatch. *)
-
-let q_push t ~key ~seq v =
-  match t.q with
-  | Qheap h -> Heap.push_ns h ~key ~seq v
-  | Qcal c -> Calendar.push_ns c ~key ~seq v
-
-let q_min_key t =
-  match t.q with
-  | Qheap h -> Heap.min_key_ns h
-  | Qcal c -> Calendar.min_key_ns c
-
-let q_pop_min t =
-  match t.q with Qheap h -> Heap.pop_min h | Qcal c -> Calendar.pop_min c
-
-(* One-way heap -> calendar migration: drain in [(key, seq)] order and
-   re-insert, so the extraction order — and every table downstream —
-   is unchanged by where the migration lands. *)
-let maybe_migrate t =
-  if t.auto && (not t.migrated) && t.live > migrate_threshold then begin
-    match t.q with
-    | Qcal _ -> t.migrated <- true
-    | Qheap h ->
-        let cal = Calendar.create () in
-        while not (Heap.is_empty h) do
-          let k = Heap.min_key_ns h and s = Heap.min_seq_ns h in
-          let v = Heap.pop_min h in
-          Calendar.push_ns cal ~key:k ~seq:s v
-        done;
-        t.q <- Qcal cal;
-        t.migrated <- true
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Scheduling. *)
 
-let schedule_ns ~daemon t ~at_ns f =
-  if at_ns < t.clock_ns then
+let schedule_at ?(daemon = false) t ~at f =
+  if Time.(at < t.clock) then
     invalid_arg
-      (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp
-         (Time.ns at_ns) Time.pp (Time.ns t.clock_ns));
+      (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp at
+         Time.pp t.clock);
   let slot = alloc_slot t in
   let w = t.a_word.(slot) in
   (* [w] is a freed word: state 0, daemon clear, generation intact. *)
@@ -223,21 +168,14 @@ let schedule_ns ~daemon t ~at_ns f =
   t.a_fn.(slot) <- f;
   let seq = t.next_id in
   t.next_id <- t.next_id + 1;
-  q_push t ~key:at_ns ~seq slot;
+  Heap.push t.q ~key:(at :> int) ~seq slot;
   t.live <- t.live + 1;
   if not daemon then t.live_user <- t.live_user + 1;
-  maybe_migrate t;
   sample_depth t;
   ((w asr gen_shift) lsl slot_bits) lor slot
 
-let schedule_at ?(daemon = false) t ~at f =
-  let at_ns = Time.to_ns at in
-  if Time.ns at_ns <> at then
-    invalid_arg "Engine.schedule_at: time exceeds native int range";
-  schedule_ns ~daemon t ~at_ns f
-
-let schedule ?(daemon = false) t ~delay f =
-  schedule_ns ~daemon t ~at_ns:(t.clock_ns + Time.to_ns delay) f
+let schedule ?daemon t ~delay f =
+  schedule_at ?daemon t ~at:(Time.add t.clock delay) f
 
 let cancel t h =
   let slot = h land slot_mask in
@@ -259,11 +197,8 @@ let cancel t h =
 let pending t = t.live
 let pending_user t = t.live_user
 
-let next_at_ns t = q_min_key t
-
-let next_at t =
-  let k = q_min_key t in
-  if k = max_int then None else Some (Time.ns k)
+(* [Heap.min_key]'s empty-queue [max_int] is [Time.never]. *)
+let next_at t = Time.ns (Heap.min_key t.q)
 
 (* ------------------------------------------------------------------ *)
 (* Execution. *)
@@ -275,9 +210,9 @@ let next_at t =
    bounded arena; the callback itself was read out first.  Returns
    [true] when the callback actually ran. *)
 let exec_min t =
-  let at = q_min_key t in
-  let slot = q_pop_min t in
-  t.clock_ns <- at;
+  let at = Heap.min_key t.q in
+  let slot = Heap.pop_min t.q in
+  t.clock <- Time.ns at;
   let w = t.a_word.(slot) in
   let fn = t.a_fn.(slot) in
   free_slot t slot w;
@@ -292,16 +227,16 @@ let exec_min t =
   else false
 
 let step t =
-  if q_min_key t = max_int then false
+  if Heap.is_empty t.q then false
   else begin
     ignore (exec_min t);
     true
   end
 
-(* The loop proper, over native ints only ([has_until] instead of an
-   option, [max_int] as "no budget") so {!Shard}'s epoch loop can run
-   it without boxing anything per epoch. *)
-let run_ns t ~until_ns ~has_until ~max_ev =
+let run ?until ?max_events t =
+  let has_until = until <> None in
+  let until = match until with Some u -> u | None -> Time.never in
+  let max_ev = match max_events with Some m -> m | None -> max_int in
   let fired = ref 0 in
   let continue = ref true in
   while !continue do
@@ -311,28 +246,18 @@ let run_ns t ~until_ns ~has_until ~max_ev =
          remain. *)
     else if (not has_until) && t.live_user = 0 then continue := false
     else begin
-      let at = q_min_key t in
+      let at = Heap.min_key t.q in
       if at = max_int then continue := false
-      else if has_until && at > until_ns then continue := false
+      else if has_until && at > (until :> int) then continue := false
       else if exec_min t then incr fired
     end
   done;
   flush_depth t;
   (* Advance the clock to [until] only when the run stopped for lack
      of earlier events, not when it was cut short by [max_ev]. *)
-  if has_until && t.clock_ns < until_ns then begin
-    let nk = q_min_key t in
-    if nk > until_ns then t.clock_ns <- until_ns
+  if has_until && Time.(t.clock < until) then begin
+    if Heap.min_key t.q > (until :> int) then t.clock <- until
   end
-
-let run ?until ?max_events t =
-  let has_until = until <> None in
-  let until_ns = match until with Some u -> Time.to_ns u | None -> max_int in
-  let max_ev = match max_events with Some m -> m | None -> max_int in
-  run_ns t ~until_ns ~has_until ~max_ev
-
-let run_until_ns t until_ns =
-  run_ns t ~until_ns ~has_until:true ~max_ev:max_int
 
 let every ?daemon t ~period ?start f =
   if Time.(period <= Time.zero) then

@@ -4,11 +4,18 @@
     events.  Callbacks run at their scheduled instant; two events at the
     same instant run in scheduling order, so runs are deterministic.
 
-    Event bookkeeping lives in a preallocated int arena and the clock
-    is a native [int] of nanoseconds internally, so the steady-state
-    schedule/fire path allocates nothing on the minor heap — the
-    property [bench/main.ml]'s [engine.steady_state] benchmark asserts
-    with a [Gc.minor_words] delta.
+    Event bookkeeping lives in a preallocated int arena, the queue is
+    a 4-ary {!Heap} of arena slot indexes and {!Time.t} is an unboxed
+    [int], so the steady-state schedule/fire path allocates nothing on
+    the minor heap — the property [bench/main.ml]'s
+    [engine.steady_state] benchmark asserts with a [Gc.minor_words]
+    delta.
+
+    There is one queue, the heap.  Peak live events are 10,250 in E9,
+    3,195 in the [pfs-churn] benchmark workload, 2,770 in E8 and at
+    most 1,430 in every other experiment, CLI scenario and workload.
+    At those depths the heap is faster than a calendar queue, which
+    only pulls ahead near a million live events (DESIGN.md §11).
 
     A callback may schedule further events and cancel pending ones, but
     must not call {!run} reentrantly. *)
@@ -22,21 +29,8 @@ type event_id
     reuse fails {!cancel} harmlessly — no lookup tables sit on the
     event hot path, and handles never keep callbacks alive. *)
 
-val create :
-  ?queue:[ `Auto | `Heap | `Calendar ] ->
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  unit ->
-  t
-(** [queue] selects the priority queue implementation: [`Heap] (4-ary
-    implicit heap — the reference structure, best at modest
-    populations), [`Calendar] (calendar queue, O(1) amortized — wins
-    for massive-N regimes), or [`Auto] (default: start on the heap,
-    migrate once to a calendar queue if the live population crosses
-    32768).  Both extract the exact [(time, seq)] minimum, so results
-    are byte-identical whichever is picked.
-
-    [trace] and [metrics] default to the process-wide {!Trace.default}
+val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
+(** [trace] and [metrics] default to the process-wide {!Trace.default}
     and {!Metrics.default}; pass fresh instances for isolated runs
     (tests).  The engine registers its own metrics
     ([sim/engine.events_fired], [sim/engine.events_cancelled],
@@ -76,17 +70,12 @@ val pending : t -> int
 val pending_user : t -> int
 (** Like {!pending}, counting only non-daemon events. *)
 
-val next_at : t -> Time.t option
-(** Instant of the earliest entry still in the queue, or [None] when
-    the queue is empty.  Cancelled-but-undelivered events are included,
-    so this is a lower bound on the next instant at which anything can
-    actually fire — exactly what a conservative parallel runner needs
-    (see {!Shard}). *)
-
-val next_at_ns : t -> int
-(** {!next_at} in integer nanoseconds, [max_int] when the queue is
-    empty.  Never allocates — {!Shard}'s epoch loop publishes this
-    every epoch for every shard. *)
+val next_at : t -> Time.t
+(** Instant of the earliest entry still in the queue, or {!Time.never}
+    when the queue is empty.  Cancelled-but-undelivered events are
+    included, so this is a lower bound on the next instant at which
+    anything can actually fire — exactly what a conservative parallel
+    runner needs (see {!Shard}).  Never allocates. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run events in timestamp order until the queue empties, simulated
@@ -94,11 +83,6 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     When stopped by [until], the clock is advanced to exactly [until].
     Without [until], the run also stops once only daemon events
     remain. *)
-
-val run_until_ns : t -> int -> unit
-(** [run ~until] with the bound already in integer nanoseconds and no
-    event budget.  Allocation-free entry point for {!Shard}'s
-    per-epoch calls. *)
 
 val step : t -> bool
 (** Run a single event.  Returns [false] when the queue is empty.

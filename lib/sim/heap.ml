@@ -9,12 +9,8 @@
    moves the displaced element through a "hole" instead of swapping, so
    each level is one read and one write per array.
 
-   Keys arrive as [int64] (simulated nanoseconds) but are stored as
-   native [int]s: on 64-bit platforms an [int] holds 63 bits, which at
-   nanosecond resolution is ~146 years of simulated time, and the rest
-   of the codebase already assumes this (see [Time.to_ns]).  A key that
-   does not round-trip through [int] is rejected rather than silently
-   reordered. *)
+   Keys are native [int]s (the engine passes simulated nanoseconds,
+   which is what {!Time.t} is), so no entry boxes anything. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -46,13 +42,7 @@ let grow h =
     h.vals <- nvals
   end
 
-let key_of_int64 key =
-  let k = Int64.to_int key in
-  if Int64.of_int k <> key then
-    invalid_arg "Heap.push: key exceeds native int range";
-  k
-
-let push_ns h ~key:k ~seq value =
+let push h ~key:k ~seq value =
   grow h;
   (* Sift up through a hole: parents move down until the insertion
      point is found, then the new element is written exactly once. *)
@@ -74,17 +64,10 @@ let push_ns h ~key:k ~seq value =
   h.seqs.(!i) <- seq;
   h.vals.(!i) <- value
 
-let push h ~key ~seq value = push_ns h ~key:(key_of_int64 key) ~seq value
-
-let peek h =
-  if h.len = 0 then None
-  else Some (Int64.of_int h.keys.(0), h.seqs.(0), h.vals.(0))
-
-let min_key_ns h = if h.len = 0 then max_int else h.keys.(0)
-let min_seq_ns h = if h.len = 0 then max_int else h.seqs.(0)
+let min_key h = if h.len = 0 then max_int else h.keys.(0)
 
 (* The allocation-free extraction path: the caller reads the key with
-   {!min_key_ns} first (the engine needs it to advance the clock), so
+   {!min_key} first (the engine needs it to advance the clock), so
    only the value crosses the interface. *)
 let pop_min h =
   if h.len = 0 then invalid_arg "Heap.pop_min: empty";
@@ -131,14 +114,6 @@ let pop_min h =
     h.vals.(!i) <- lv
   end;
   top_v
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let top_key = h.keys.(0) and top_seq = h.seqs.(0) in
-    let top_v = pop_min h in
-    Some (Int64.of_int top_key, top_seq, top_v)
-  end
 
 let clear h =
   h.keys <- [||];

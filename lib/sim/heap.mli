@@ -1,16 +1,17 @@
-(** 4-ary implicit min-heap keyed by [(int64, int)].
+(** 4-ary implicit min-heap keyed by [(int, int)]: the engine's event
+    queue.
 
-    The primary key is a timestamp; the secondary key is an insertion
-    sequence number so that events scheduled for the same instant pop in
-    FIFO order, which keeps simulations deterministic.
+    The primary key is a timestamp in nanoseconds (a {!Time.t} read as
+    an [int]); the secondary key is an insertion sequence number so
+    that events scheduled for the same instant pop in FIFO order, which
+    keeps simulations deterministic.
 
     Keys and sequence numbers are stored in parallel arrays of
     immediates (no per-entry boxing), and sift operations move elements
     through a hole instead of swapping, so a push or pop touches one
-    cache line per level of a 4-ary tree.  Keys must fit in a native
-    [int] (63 bits — ~146 years of simulated nanoseconds, the same
-    assumption {!Time.to_ns} makes); {!push} raises [Invalid_argument]
-    otherwise. *)
+    cache line per level of a 4-ary tree.  Extraction returns only the
+    payload, so a push/pop pair over an immediate payload (the engine
+    stores arena slot indexes) touches no minor heap. *)
 
 type 'a t
 
@@ -20,38 +21,15 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> key:int64 -> seq:int -> 'a -> unit
-(** [push h ~key ~seq v] inserts [v].  Raises [Invalid_argument] if
-    [key] does not round-trip through a native [int]. *)
+val push : 'a t -> key:int -> seq:int -> 'a -> unit
+(** [push h ~key ~seq v] inserts [v]. *)
 
-val pop : 'a t -> (int64 * int * 'a) option
-(** Removes and returns the minimum element, or [None] if empty.  The
-    vacated slot is cleared so popped values are not retained. *)
-
-val peek : 'a t -> (int64 * int * 'a) option
-(** Returns the minimum element without removing it. *)
-
-(** {2 Allocation-free operations}
-
-    The engine hot loop uses these: keys stay native [int]s end to end
-    and extraction returns only the payload, so a push/pop pair over an
-    immediate payload (the engine stores arena slot indexes) touches no
-    minor heap.  They mirror {!Calendar}'s interface, which is what
-    lets the differential property test drive both structures through
-    one functor. *)
-
-val push_ns : 'a t -> key:int -> seq:int -> 'a -> unit
-(** Like {!push} with the key already a native [int] (nanoseconds). *)
-
-val min_key_ns : 'a t -> int
+val min_key : 'a t -> int
 (** Key of the minimum element, or [max_int] when empty. *)
-
-val min_seq_ns : 'a t -> int
-(** Sequence number of the minimum element, or [max_int] when empty. *)
 
 val pop_min : 'a t -> 'a
 (** Removes the minimum element and returns its value (read the key
-    first with {!min_key_ns}).  Raises [Invalid_argument] when
-    empty. *)
+    first with {!min_key}).  The vacated slot is cleared so popped
+    values are not retained.  Raises [Invalid_argument] when empty. *)
 
 val clear : 'a t -> unit

@@ -119,15 +119,6 @@ let windowed ?(q = 99.0) obs = Windowed { obs; q }
 
 (* {1 Aggregation} *)
 
-(* Same interpolation as {!Stats.Samples.percentile}, over a scratch
-   array gathered from the last [j] sub-window buffers. *)
-let percentile_of sorted n q =
-  let rank = q /. 100.0 *. Float.of_int (n - 1) in
-  let lo = Float.to_int (Float.floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
-  let frac = rank -. Float.of_int lo in
-  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
 (* Aggregate over the last [j] completed sub-windows.  [None] means the
    objective has no data for the span — treated as healthy, so an idle
    signal neither fires nor blocks a resolution. *)
@@ -171,7 +162,7 @@ let aggregate e j =
             pos := !pos + b.fb_len
           done;
           Array.sort Float.compare scratch;
-          Some (percentile_of scratch !total q)
+          Some (Stats.percentile_sorted scratch !total q)
         end
 
 (* {1 The state machine} *)

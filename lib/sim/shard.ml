@@ -32,24 +32,21 @@
    epoch barrier and drains strictly after it, and the barrier publishes
    the writes, so no per-message synchronisation is needed. *)
 
-type msg = { msg_at : int; msg_seq : int; msg_fn : unit -> unit }
+type msg = { msg_at : Time.t; msg_seq : int; msg_fn : unit -> unit }
 
 type t = {
   engines : Engine.t array;
   lookahead : Time.t;
-  lookahead_ns : int;
   boxes : msg Mailbox.t array array;  (* boxes.(src).(dst) *)
   seqs : int array array;  (* per-(src,dst) push counters, producer-owned *)
   (* Published per-shard state: written only by the owning worker in the
      drain phase, read by every worker after the barrier. *)
-  next_at_ns : int array;  (* max_int when the queue is empty *)
+  next_at : Time.t array;  (* Time.never when the queue is empty *)
   user_live : int array;
   delivered : int array;  (* cross-shard messages scheduled, per dst *)
   mutable epochs : int;
   mutable running : bool;
 }
-
-let no_event = max_int
 
 let make ~lookahead engines =
   if Array.length engines = 0 then invalid_arg "Shard: no shards";
@@ -59,11 +56,10 @@ let make ~lookahead engines =
   {
     engines;
     lookahead;
-    lookahead_ns = Time.to_ns lookahead;
     boxes =
       Array.init n (fun _ -> Array.init n (fun _ -> Mailbox.create ()));
     seqs = Array.init n (fun _ -> Array.make n 0);
-    next_at_ns = Array.make n no_event;
+    next_at = Array.make n Time.never;
     user_live = Array.make n 0;
     delivered = Array.make n 0;
     epochs = 0;
@@ -108,7 +104,7 @@ let post t ~src ~dst ~at fn =
          at Time.pp now Time.pp t.lookahead);
   let seq = t.seqs.(src).(dst) in
   t.seqs.(src).(dst) <- seq + 1;
-  Mailbox.push t.boxes.(src).(dst) { msg_at = Time.to_ns at; msg_seq = seq; msg_fn = fn }
+  Mailbox.push t.boxes.(src).(dst) { msg_at = at; msg_seq = seq; msg_fn = fn }
 
 (* Drain every inbox of shard [dst] and schedule the messages in
    deterministic (timestamp, source, sequence) order.  Runs on the
@@ -136,8 +132,7 @@ let drain_nonempty t dst =
       !acc
   in
   List.iter
-    (fun (at_ns, _, _, fn) ->
-      ignore (Engine.schedule_at t.engines.(dst) ~at:(Time.ns at_ns) fn))
+    (fun (at, _, _, fn) -> ignore (Engine.schedule_at t.engines.(dst) ~at fn))
     msgs;
   t.delivered.(dst) <- t.delivered.(dst) + List.length msgs
 
@@ -157,9 +152,7 @@ let publish t s =
      flush it here so nothing observes a stale value across an epoch
      boundary (monitor windows roll on barrier-aligned instants). *)
   Engine.flush_gauges t.engines.(s);
-  (* [Engine.next_at_ns] uses the same [max_int] empty-queue sentinel
-     as [no_event], and neither side boxes anything. *)
-  t.next_at_ns.(s) <- Engine.next_at_ns t.engines.(s);
+  t.next_at.(s) <- Engine.next_at t.engines.(s);
   t.user_live.(s) <- Engine.pending_user t.engines.(s)
 
 (* Single-shard mode delegates to the plain engine loop, so an
@@ -187,7 +180,6 @@ let run ?(domains = 1) ?until t =
         let workers =
           if Par.available then Stdlib.max 1 (Stdlib.min domains n) else 1
         in
-        let until_ns = Option.map Time.to_ns until in
         (* Messages posted during setup enter the first epoch. *)
         for d = 0 to n - 1 do
           drain t d;
@@ -198,26 +190,25 @@ let run ?(domains = 1) ?until t =
             while !continue do
               (* Every worker computes the epoch identically from the
                  state published at the last barrier. *)
-              let t_min = Array.fold_left Stdlib.min no_event t.next_at_ns in
+              let t_min = Array.fold_left Time.min Time.never t.next_at in
               let finished =
-                match until_ns with
-                | Some u -> t_min > u
+                match until with
+                | Some u -> Time.(t_min > u)
                 | None ->
-                    t_min = no_event
+                    t_min = Time.never
                     || Array.fold_left ( + ) 0 t.user_live = 0
               in
               if finished then continue := false
               else begin
                 if worker = 0 then t.epochs <- t.epochs + 1;
-                let horizon =
-                  let h = t_min + t.lookahead_ns in
-                  match until_ns with
-                  | Some u -> Stdlib.min h (u + 1)
-                  | None -> h
+                (* Run every shard up to, not including, the horizon. *)
+                let last =
+                  let h = Time.sub (Time.add t_min t.lookahead) (Time.ns 1) in
+                  match until with Some u -> Time.min h u | None -> h
                 in
                 let s = ref worker in
                 while !s < n do
-                  Engine.run_until_ns t.engines.(!s) (horizon - 1);
+                  Engine.run t.engines.(!s) ~until:last;
                   s := !s + workers
                 done;
                 sync ();

@@ -62,6 +62,13 @@ module Summary = struct
       (stddev t) t.min t.max
 end
 
+let percentile_sorted sorted n p =
+  let rank = p /. 100.0 *. Float.of_int (n - 1) in
+  let lo = Float.to_int (Float.floor rank) in
+  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let frac = rank -. Float.of_int lo in
+  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
 module Samples = struct
   type t = {
     mutable data : float array;
@@ -99,11 +106,7 @@ module Samples = struct
   let percentile t p =
     if t.len = 0 then invalid_arg "Samples.percentile: empty";
     ensure_sorted t;
-    let rank = p /. 100.0 *. Float.of_int (t.len - 1) in
-    let lo = Float.to_int (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (t.len - 1) in
-    let frac = rank -. Float.of_int lo in
-    t.data.(lo) +. (frac *. (t.data.(hi) -. t.data.(lo)))
+    percentile_sorted t.data t.len p
 
   (* Raises like [min]/[max]/[percentile] do: the old silent-0.0
      return let an empty sample set masquerade as a measured zero
@@ -205,12 +208,7 @@ module Reservoir = struct
 
   let percentile t p =
     if t.stored = 0 then invalid_arg "Reservoir.percentile: empty";
-    let view = sorted_view t in
-    let rank = p /. 100.0 *. Float.of_int (t.stored - 1) in
-    let lo = Float.to_int (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (t.stored - 1) in
-    let frac = rank -. Float.of_int lo in
-    view.(lo) +. (frac *. (view.(hi) -. view.(lo)))
+    percentile_sorted (sorted_view t) t.stored p
 
   let to_array t = Array.sub t.data 0 t.stored
 end

@@ -20,6 +20,13 @@ module Summary : sig
   val pp : Format.formatter -> t -> unit
 end
 
+val percentile_sorted : float array -> int -> float -> float
+(** [percentile_sorted a n p] is the [p]th percentile, [p] in
+    [\[0, 100\]], of the prefix [a.(0 .. n-1)], which must be sorted
+    ascending with [n > 0]: linear interpolation between the two
+    nearest ranks.  {!Samples}, {!Reservoir} and {!Monitor}'s windowed
+    objectives all compute percentiles through it. *)
+
 (** Sample store with exact percentiles (sorts lazily on query). *)
 module Samples : sig
   type t

@@ -1,13 +1,23 @@
 (** Simulated time.
 
     Time is a count of nanoseconds since the start of the simulation,
-    held in an [int64].  2^63 ns is almost three centuries, so overflow
-    is not a practical concern.  All of the simulator, the ATM network,
-    the Nemesis kernel and the file-server models share this clock. *)
+    held in a native [int].  On the 64-bit platforms the simulator
+    targets that is 63 bits, about 146 years of nanoseconds, so
+    overflow is not a practical concern.  The type is private: values
+    are built only through the constructors below, but reading one as
+    an [int] is a free coercion ([(t :> int)]), and nothing on the
+    event path boxes a timestamp.  All of the simulator, the ATM
+    network, the Nemesis kernel and the file-server models share this
+    clock. *)
 
-type t = int64
+type t = private int
 
 val zero : t
+
+val never : t
+(** The latest representable instant ([max_int] ns): a sentinel for
+    "no deadline" and "no pending event", later than every real
+    time. *)
 
 (** {1 Constructors} *)
 
@@ -24,7 +34,8 @@ val sec : int -> t
 (** [sec n] is [n] seconds. *)
 
 val of_sec_f : float -> t
-(** [of_sec_f s] converts a duration in (possibly fractional) seconds. *)
+(** [of_sec_f s] converts a duration in (possibly fractional) seconds,
+    truncating toward zero. *)
 
 (** {1 Arithmetic} *)
 
@@ -48,4 +59,5 @@ val to_ms_f : t -> float
 val to_sec_f : t -> float
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)
+(** Human-readable rendering with an adaptive unit: whole [ns] below
+    1 us, then [us] to two decimals, [ms] and [s] to three. *)

@@ -2,6 +2,7 @@
 
 let ms = Sim.Time.ms
 let us = Sim.Time.us
+let time = Alcotest.testable Sim.Time.pp ( = )
 
 let crc_tests =
   [
@@ -29,10 +30,13 @@ let util_tests =
         let b = Bytes.create 16 in
         Atm.Util.put_u16 b 0 0xBEEF;
         Atm.Util.put_u32 b 2 0xDEADBEEF;
-        Atm.Util.put_i64 b 6 (-123456789L);
+        Atm.Util.put_time b 6 (Sim.Time.ns 0x1_0203_0405);
         Alcotest.(check int) "u16" 0xBEEF (Atm.Util.get_u16 b 0);
         Alcotest.(check int) "u32" 0xDEADBEEF (Atm.Util.get_u32 b 2);
-        Alcotest.(check int64) "i64" (-123456789L) (Atm.Util.get_i64 b 6));
+        Alcotest.(check string) "i64 wire form, big-endian"
+          "\000\000\000\001\002\003\004\005" (Bytes.sub_string b 6 8);
+        Alcotest.check time "i64" (Sim.Time.ns 0x1_0203_0405)
+          (Atm.Util.get_time b 6));
   ]
 
 let cell_tests =
@@ -45,7 +49,7 @@ let cell_tests =
           (Invalid_argument "Cell.make: payload must be 48 bytes") (fun () ->
             ignore (Atm.Cell.make ~vci:1 ~last:false (Bytes.create 10))));
     Alcotest.test_case "tx time at 100 Mbit/s is 4.24us" `Quick (fun () ->
-        Alcotest.(check int64) "4240ns" (Sim.Time.ns 4240)
+        Alcotest.check time "4240ns" (Sim.Time.ns 4240)
           (Atm.Cell.tx_time ~bandwidth_bps:100_000_000));
   ]
 
@@ -139,7 +143,7 @@ let link_tests =
         Sim.Engine.run e;
         match !received with
         | [ (at, _) ] ->
-            Alcotest.(check int64) "arrival"
+            Alcotest.check time "arrival"
               (Sim.Time.add (Sim.Time.ns 4240) (us 5))
               at
         | _ -> Alcotest.fail "expected one cell");
@@ -150,7 +154,7 @@ let link_tests =
         Sim.Engine.run e;
         match List.rev !received with
         | [ (t1, _); (t2, _) ] ->
-            Alcotest.(check int64) "spacing" (Sim.Time.ns 4240) (Sim.Time.sub t2 t1)
+            Alcotest.check time "spacing" (Sim.Time.ns 4240) (Sim.Time.sub t2 t1)
         | _ -> Alcotest.fail "expected two cells");
     Alcotest.test_case "queue overflow drops and counts" `Quick (fun () ->
         let e, link, received = link_rig ~queue_cells:4 () in
@@ -539,7 +543,7 @@ let control_tests =
         let d = Atm.Control.Playback.recommended_delay pb ~stream:1 in
         Alcotest.(check bool) "recommended ~2ms" true
           (Sim.Time.to_ms_f d > 1.9 && Sim.Time.to_ms_f d < 2.1);
-        Alcotest.(check int64) "slow stream needs none" Sim.Time.zero
+        Alcotest.check time "slow stream needs none" Sim.Time.zero
           (Atm.Control.Playback.recommended_delay pb ~stream:2));
   ]
 
@@ -775,6 +779,64 @@ let conservation_tests =
            && Atm.Net.total_cells_dropped net = 0));
   ]
 
+(* 2^32 ns is ~4.3 s of simulated time: a stamp past it needs the upper
+   half of the 8-byte field, which a 32-bit encoding would drop. *)
+let late = Sim.Time.ns ((1 lsl 32) + 123_457)
+
+let codec_tests =
+  [
+    Alcotest.test_case "stamps past 2^32 ns round-trip Tile, Control, Audio"
+      `Quick (fun () ->
+        let p =
+          {
+            Atm.Tile.x = 1;
+            y = 2;
+            frame = 3;
+            count = 1;
+            bytes_per_tile = Atm.Tile.raw_bytes;
+            captured_at = late;
+            data = Bytes.make Atm.Tile.raw_bytes 'p';
+          }
+        in
+        (match Atm.Tile.unmarshal (Atm.Tile.marshal p) with
+        | Some q -> Alcotest.check time "tile" late q.Atm.Tile.captured_at
+        | None -> Alcotest.fail "tile did not unmarshal");
+        List.iter
+          (fun msg ->
+            Alcotest.(check bool) "control" true
+              (Atm.Control.unmarshal (Atm.Control.marshal msg) = Some msg))
+          [
+            Atm.Control.Sync { stream = 1; unit_id = 2; stamp = late };
+            Atm.Control.Index_mark { stream = 1; offset = 2; stamp = late };
+          ];
+        (* Audio stamps are the send time: start the source past 2^32 ns
+           and check the sink decodes each cell's stamp as sent. *)
+        let e, net, a, b = star_net () in
+        Sim.Engine.run e ~until:late;
+        let sink = Atm.Audio.Sink.create e () in
+        let vc =
+          Atm.Net.open_vc net ~src:a ~dst:b ~rx:(fun c -> Atm.Audio.Sink.cell_rx sink c)
+        in
+        let src = Atm.Audio.Source.create e ~vc () in
+        let sent = ref [] and played = ref [] in
+        Atm.Audio.Source.on_mark src ~every:1 (fun ~seq ~stamp ->
+            sent := (seq, stamp) :: !sent);
+        Atm.Audio.Sink.on_playout sink (fun ~seq ~stamp ->
+            played := (seq, stamp) :: !played);
+        Atm.Audio.Source.start src;
+        Sim.Engine.run e ~until:(Sim.Time.add late (ms 10));
+        Atm.Audio.Source.stop src;
+        Sim.Engine.run e;
+        Alcotest.(check bool) "some cells played" true (List.length !played > 10);
+        List.iter
+          (fun (seq, stamp) ->
+            Alcotest.(check bool) "stamp past 2^32 ns" true Sim.Time.(stamp >= late);
+            Alcotest.check time
+              (Printf.sprintf "audio seq %d" seq)
+              (List.assoc seq !sent) stamp)
+          !played);
+  ]
+
 let () =
   Alcotest.run "atm"
     [
@@ -789,6 +851,7 @@ let () =
       ("camera-display", camera_display_tests);
       ("audio", audio_tests);
       ("control", control_tests);
+      ("codec", codec_tests);
       ("traffic", traffic_tests);
       ("reservation", reservation_tests);
       ("stacking", stacking_tests);

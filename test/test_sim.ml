@@ -1,27 +1,45 @@
 (* Tests for the discrete-event substrate. *)
 
+let time = Alcotest.testable Sim.Time.pp ( = )
+
 let time_tests =
   [
     Alcotest.test_case "unit constructors compose" `Quick (fun () ->
-        Alcotest.(check int64) "1us" (Sim.Time.us 1) (Sim.Time.ns 1000);
-        Alcotest.(check int64) "1ms" (Sim.Time.ms 1) (Sim.Time.us 1000);
-        Alcotest.(check int64) "1s" (Sim.Time.sec 1) (Sim.Time.ms 1000));
+        Alcotest.check time "1us" (Sim.Time.us 1) (Sim.Time.ns 1000);
+        Alcotest.check time "1ms" (Sim.Time.ms 1) (Sim.Time.us 1000);
+        Alcotest.check time "1s" (Sim.Time.sec 1) (Sim.Time.ms 1000));
     Alcotest.test_case "of_sec_f round-trips" `Quick (fun () ->
         Alcotest.(check (float 1e-9))
           "1.5s" 1.5
           (Sim.Time.to_sec_f (Sim.Time.of_sec_f 1.5)));
     Alcotest.test_case "arithmetic" `Quick (fun () ->
         let a = Sim.Time.ms 3 and b = Sim.Time.ms 1 in
-        Alcotest.(check int64) "add" (Sim.Time.ms 4) (Sim.Time.add a b);
-        Alcotest.(check int64) "sub" (Sim.Time.ms 2) (Sim.Time.sub a b);
-        Alcotest.(check int64) "mul" (Sim.Time.ms 9) (Sim.Time.mul a 3);
-        Alcotest.(check int64) "div" (Sim.Time.ms 1) (Sim.Time.div a 3);
-        Alcotest.(check bool) "lt" true Sim.Time.(b < a));
+        Alcotest.check time "add" (Sim.Time.ms 4) (Sim.Time.add a b);
+        Alcotest.check time "sub" (Sim.Time.ms 2) (Sim.Time.sub a b);
+        Alcotest.check time "mul" (Sim.Time.ms 9) (Sim.Time.mul a 3);
+        Alcotest.check time "div" (Sim.Time.ms 1) (Sim.Time.div a 3);
+        Alcotest.(check bool) "lt" true Sim.Time.(b < a);
+        Alcotest.(check bool) "never is after a century" true
+          Sim.Time.(mul (sec 86_400) 36_525 < never));
     Alcotest.test_case "pp picks sensible units" `Quick (fun () ->
-        let s t = Format.asprintf "%a" Sim.Time.pp t in
-        Alcotest.(check string) "ns" "500ns" (s (Sim.Time.ns 500));
-        Alcotest.(check string) "us" "2.00us" (s (Sim.Time.us 2));
-        Alcotest.(check string) "ms" "3.000ms" (s (Sim.Time.ms 3)));
+        (* Each unit switch is pinned on both sides of its boundary;
+           2^32 ns checks a stamp past 32 bits. *)
+        let s n = Format.asprintf "%a" Sim.Time.pp (Sim.Time.ns n) in
+        List.iter
+          (fun (n, want) -> Alcotest.(check string) (string_of_int n) want (s n))
+          [
+            (0, "0ns");
+            (500, "500ns");
+            (999, "999ns");
+            (1_000, "1.00us");
+            (2_000, "2.00us");
+            (999_994, "999.99us");
+            (1_000_000, "1.000ms");
+            (3_000_000, "3.000ms");
+            (999_999_499, "999.999ms");
+            (1_000_000_000, "1.000s");
+            (4_294_967_296, "4.295s");
+          ]);
   ]
 
 (* Reference model for the heap property tests: a list kept sorted by
@@ -35,18 +53,23 @@ let model_insert (k, s, v) model =
   in
   go model
 
+(* Pop the minimum as [(key, value)]: read the key, then extract. *)
+let heap_pop h =
+  if Sim.Heap.is_empty h then None
+  else
+    let k = Sim.Heap.min_key h in
+    Some (k, Sim.Heap.pop_min h)
+
 let heap_tests =
   [
     Alcotest.test_case "pop order is (key, seq)" `Quick (fun () ->
         let h = Sim.Heap.create () in
-        Sim.Heap.push h ~key:5L ~seq:0 "a";
-        Sim.Heap.push h ~key:3L ~seq:1 "b";
-        Sim.Heap.push h ~key:3L ~seq:2 "c";
-        Sim.Heap.push h ~key:1L ~seq:3 "d";
+        Sim.Heap.push h ~key:5 ~seq:0 "a";
+        Sim.Heap.push h ~key:3 ~seq:1 "b";
+        Sim.Heap.push h ~key:3 ~seq:2 "c";
+        Sim.Heap.push h ~key:1 ~seq:3 "d";
         let pop () =
-          match Sim.Heap.pop h with
-          | Some (_, _, v) -> v
-          | None -> Alcotest.fail "empty"
+          match heap_pop h with Some (_, v) -> v | None -> Alcotest.fail "empty"
         in
         Alcotest.(check string) "1st" "d" (pop ());
         Alcotest.(check string) "2nd" "b" (pop ());
@@ -55,23 +78,23 @@ let heap_tests =
         Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h));
     Alcotest.test_case "peek does not remove" `Quick (fun () ->
         let h = Sim.Heap.create () in
-        Sim.Heap.push h ~key:7L ~seq:0 ();
-        Alcotest.(check bool) "peek" true (Sim.Heap.peek h <> None);
-        Alcotest.(check int) "len" 1 (Sim.Heap.length h));
+        Alcotest.(check int) "empty key" max_int (Sim.Heap.min_key h);
+        Sim.Heap.push h ~key:9 ~seq:0 ();
+        Sim.Heap.push h ~key:7 ~seq:1 ();
+        Alcotest.(check int) "min key" 7 (Sim.Heap.min_key h);
+        Alcotest.(check int) "len" 2 (Sim.Heap.length h));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"pops in nondecreasing key order" ~count:200
          QCheck2.Gen.(list (int_range 0 1000))
          (fun keys ->
            let h = Sim.Heap.create () in
-           List.iteri
-             (fun i k -> Sim.Heap.push h ~key:(Int64.of_int k) ~seq:i ())
-             keys;
+           List.iteri (fun i k -> Sim.Heap.push h ~key:k ~seq:i ()) keys;
            let rec drain last =
-             match Sim.Heap.pop h with
+             match heap_pop h with
              | None -> true
-             | Some (k, _, ()) -> k >= last && drain k
+             | Some (k, ()) -> k >= last && drain k
            in
-           drain Int64.min_int));
+           drain min_int));
     Alcotest.test_case "popped values are not retained" `Quick (fun () ->
         (* A vacated slot left pointing at its entry is a space leak:
            drain the heap, collect, and check through weak pointers
@@ -83,19 +106,18 @@ let heap_tests =
         for i = 0 to n - 1 do
           let v = ref i in
           Weak.set weak i (Some v);
-          Sim.Heap.push h ~key:(Int64.of_int (i * 37 mod 50)) ~seq:i v
+          Sim.Heap.push h ~key:(i * 37 mod 50) ~seq:i v
         done;
-        let rec drain () =
-          match Sim.Heap.pop h with Some _ -> drain () | None -> ()
-        in
-        drain ();
+        while not (Sim.Heap.is_empty h) do
+          ignore (Sim.Heap.pop_min h)
+        done;
         Gc.full_major ();
         let live = ref 0 in
         for i = 0 to n - 1 do
           if Weak.check weak i then incr live
         done;
         Alcotest.(check int) "all popped values collected" 0 !live;
-        Sim.Heap.push h ~key:0L ~seq:0 (ref 0);
+        Sim.Heap.push h ~key:0 ~seq:0 (ref 0);
         Alcotest.(check int) "heap still usable" 1 (Sim.Heap.length h));
     Alcotest.test_case "half-drained heap retains only its contents" `Quick
       (fun () ->
@@ -105,11 +127,11 @@ let heap_tests =
         for i = 0 to n - 1 do
           let v = ref i in
           Weak.set weak i (Some v);
-          Sim.Heap.push h ~key:(Int64.of_int i) ~seq:i v
+          Sim.Heap.push h ~key:i ~seq:i v
         done;
         (* Keys are sorted, so the first half is popped exactly. *)
         for _ = 1 to n / 2 do
-          ignore (Sim.Heap.pop h)
+          ignore (Sim.Heap.pop_min h)
         done;
         Gc.full_major ();
         for i = 0 to (n / 2) - 1 do
@@ -126,32 +148,34 @@ let heap_tests =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"interleaved push/pop agrees with a sorted-list model" ~count:300
-         (* [Some k] pushes with key [k]; [None] pops. *)
+         (* [Some k] pushes with key [k]; [None] pops.  The value pushed
+            is the sequence number, so a pop is checked on all three. *)
          QCheck2.Gen.(list (option (int_range 0 50)))
          (fun ops ->
            let h = Sim.Heap.create () in
            let model = ref [] in
            let seq = ref 0 in
+           let agrees (k, v) (mk, ms, mv) = k = mk && v = ms && v = mv in
            List.for_all
              (fun op ->
                match op with
                | Some k ->
-                   Sim.Heap.push h ~key:(Int64.of_int k) ~seq:!seq !seq;
-                   model := model_insert (Int64.of_int k, !seq, !seq) !model;
+                   Sim.Heap.push h ~key:k ~seq:!seq !seq;
+                   model := model_insert (k, !seq, !seq) !model;
                    incr seq;
                    Sim.Heap.length h = List.length !model
                | None -> (
-                   match (Sim.Heap.pop h, !model) with
+                   match (heap_pop h, !model) with
                    | None, [] -> true
                    | Some got, m :: rest ->
                        model := rest;
-                       got = m
+                       agrees got m
                    | Some _, [] | None, _ :: _ -> false))
              ops
            && (* drain: the tail must still agree *)
            List.for_all
              (fun m ->
-               match Sim.Heap.pop h with Some got -> got = m | None -> false)
+               match heap_pop h with Some got -> agrees got m | None -> false)
              !model
            && Sim.Heap.is_empty h));
     QCheck_alcotest.to_alcotest
@@ -159,246 +183,29 @@ let heap_tests =
          QCheck2.Gen.(int_range 1 64)
          (fun n ->
            let h = Sim.Heap.create () in
-           (* Insert seqs in a scrambled but deterministic order. *)
+           (* Insert seqs in a scrambled but deterministic order; the
+              value is the seq. *)
            for i = 0 to n - 1 do
              let s = i * 17 mod n in
-             Sim.Heap.push h ~key:7L ~seq:s s
+             Sim.Heap.push h ~key:7 ~seq:s s
            done;
            (* Duplicate seqs from the mod-scramble make FIFO ambiguous;
               only check when all n seqs are distinct (gcd (17, n) = 1). *)
            n mod 17 = 0
-           ||
-           let popped = ref [] in
-           let rec drain () =
-             match Sim.Heap.pop h with
-             | None -> ()
-             | Some (_, s, _) ->
-                 popped := s :: !popped;
-                 drain ()
-           in
-           drain ();
-           List.rev !popped = List.init n Fun.id));
+           || List.init n (fun _ -> Sim.Heap.pop_min h) = List.init n Fun.id));
     Alcotest.test_case "clear empties and the heap stays usable" `Quick
       (fun () ->
         let h = Sim.Heap.create () in
         for i = 1 to 10 do
-          Sim.Heap.push h ~key:(Int64.of_int i) ~seq:i i
+          Sim.Heap.push h ~key:i ~seq:i i
         done;
         Sim.Heap.clear h;
         Alcotest.(check int) "empty" 0 (Sim.Heap.length h);
-        Alcotest.(check bool) "pop none" true (Sim.Heap.pop h = None);
-        Sim.Heap.push h ~key:3L ~seq:0 42;
-        (match Sim.Heap.pop h with
-        | Some (3L, 0, 42) -> ()
-        | _ -> Alcotest.fail "heap unusable after clear"));
-    Alcotest.test_case "out-of-range key is rejected" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        Alcotest.check_raises "max_int64"
-          (Invalid_argument "Heap.push: key exceeds native int range")
-          (fun () -> Sim.Heap.push h ~key:Int64.max_int ~seq:0 ()));
-  ]
-
-let calendar_tests =
-  [
-    Alcotest.test_case "pop order is (key, seq)" `Quick (fun () ->
-        let c = Sim.Calendar.create () in
-        Sim.Calendar.push_ns c ~key:5 ~seq:1 10;
-        Sim.Calendar.push_ns c ~key:3 ~seq:2 20;
-        Sim.Calendar.push_ns c ~key:5 ~seq:0 30;
-        Sim.Calendar.push_ns c ~key:4 ~seq:3 40;
-        let order = ref [] in
-        let rec drain () =
-          match Sim.Calendar.pop_ns c with
-          | None -> ()
-          | Some e ->
-              order := e :: !order;
-              drain ()
-        in
-        drain ();
-        Alcotest.(check (list (triple int int int)))
-          "order"
-          [ (3, 2, 20); (4, 3, 40); (5, 0, 30); (5, 1, 10) ]
-          (List.rev !order));
-    Alcotest.test_case "min_key/min_seq report without removing" `Quick
-      (fun () ->
-        let c = Sim.Calendar.create () in
-        Alcotest.(check int) "empty key" max_int (Sim.Calendar.min_key_ns c);
-        Alcotest.(check int) "empty seq" max_int (Sim.Calendar.min_seq_ns c);
-        Sim.Calendar.push_ns c ~key:9 ~seq:4 1;
-        Sim.Calendar.push_ns c ~key:2 ~seq:7 2;
-        Alcotest.(check int) "min key" 2 (Sim.Calendar.min_key_ns c);
-        Alcotest.(check int) "min seq" 7 (Sim.Calendar.min_seq_ns c);
-        Alcotest.(check int) "still both" 2 (Sim.Calendar.length c));
-    Alcotest.test_case "resize stress drains in nondecreasing order" `Quick
-      (fun () ->
-        (* Scrambled keys across a wide range force several bucket-array
-           resizes on the way up and shrinks on the way down. *)
-        let c = Sim.Calendar.create () in
-        let n = 20_000 in
-        for i = 0 to n - 1 do
-          let k = i * 2654435761 land 0xFFFFFFF in
-          Sim.Calendar.push_ns c ~key:k ~seq:i i
-        done;
-        Alcotest.(check int) "all in" n (Sim.Calendar.length c);
-        let prev_k = ref (-1) and prev_s = ref (-1) and popped = ref 0 in
-        let rec drain () =
-          match Sim.Calendar.pop_ns c with
-          | None -> ()
-          | Some (k, s, _) ->
-              if k < !prev_k || (k = !prev_k && s < !prev_s) then
-                Alcotest.failf "order violated at (%d, %d)" k s;
-              prev_k := k;
-              prev_s := s;
-              incr popped;
-              drain ()
-        in
-        drain ();
-        Alcotest.(check int) "all out" n !popped);
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"differential: interleaved push/pop agrees with the heap"
-         ~count:300
-         (* [Some k] pushes with key [k] into both structures; [None]
-            pops both and compares.  Key range is narrow enough to
-            collide and wide enough to spread across buckets. *)
-         QCheck2.Gen.(list (option (int_range 0 5000)))
-         (fun ops ->
-           let c = Sim.Calendar.create () in
-           let h = Sim.Heap.create () in
-           let seq = ref 0 in
-           List.for_all
-             (fun op ->
-               match op with
-               | Some k ->
-                   Sim.Calendar.push_ns c ~key:k ~seq:!seq !seq;
-                   Sim.Heap.push h ~key:(Int64.of_int k) ~seq:!seq !seq;
-                   incr seq;
-                   Sim.Calendar.length c = Sim.Heap.length h
-                   && Sim.Calendar.min_key_ns c
-                      = Int64.to_int
-                          (match Sim.Heap.peek h with
-                          | Some (k, _, _) -> k
-                          | None -> Int64.of_int max_int)
-               | None -> (
-                   match (Sim.Calendar.pop_ns c, Sim.Heap.pop h) with
-                   | None, None -> true
-                   | Some (ck, cs, cv), Some (hk, hs, hv) ->
-                       ck = Int64.to_int hk && cs = hs && cv = hv
-                   | Some _, None | None, Some _ -> false))
-             ops
-           &&
-           (* Drain both: the tails must agree entry for entry. *)
-           let rec drain () =
-             match (Sim.Calendar.pop_ns c, Sim.Heap.pop h) with
-             | None, None -> true
-             | Some (ck, cs, cv), Some (hk, hs, hv) ->
-                 ck = Int64.to_int hk && cs = hs && cv = hv && drain ()
-             | Some _, None | None, Some _ -> false
-           in
-           drain ()));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"equal keys pop in seq (FIFO) order" ~count:100
-         QCheck2.Gen.(int_range 1 64)
-         (fun n ->
-           (* A same-key flood degrades a bucket to a linear scan but
-              must still respect insertion order. *)
-           let c = Sim.Calendar.create () in
-           for i = 0 to n - 1 do
-             let s = i * 17 mod n in
-             Sim.Calendar.push_ns c ~key:7 ~seq:s s
-           done;
-           n mod 17 = 0
-           ||
-           let popped = ref [] in
-           let rec drain () =
-             match Sim.Calendar.pop_ns c with
-             | None -> ()
-             | Some (_, s, _) ->
-                 popped := s :: !popped;
-                 drain ()
-           in
-           drain ();
-           List.rev !popped = List.init n Fun.id));
-    Alcotest.test_case "same-key flood drains FIFO through the lazy sort" `Quick
-      (fun () ->
-        (* 5000 ties in one bucket force the sorted-chain path (chains
-           above the sort threshold); a mid-drain refill dirties the
-           sorted chain and must re-sort without losing order. *)
-        let n = 5_000 in
-        let c = Sim.Calendar.create () in
-        for i = 0 to n - 1 do
-          Sim.Calendar.push_ns c ~key:42 ~seq:(i * 3797 mod n) (i * 3797 mod n)
-        done;
-        for s = 0 to (n / 2) - 1 do
-          match Sim.Calendar.pop_ns c with
-          | Some (42, s', _) when s' = s -> ()
-          | _ -> Alcotest.failf "wrong entry at seq %d" s
-        done;
-        for s = n to n + 99 do
-          Sim.Calendar.push_ns c ~key:42 ~seq:s s
-        done;
-        for s = n / 2 to n + 99 do
-          match Sim.Calendar.pop_ns c with
-          | Some (42, s', _) when s' = s -> ()
-          | _ -> Alcotest.failf "wrong entry at seq %d after refill" s
-        done;
-        Alcotest.(check bool) "drained" true (Sim.Calendar.is_empty c));
-    Alcotest.test_case "large in-order flood rolls forward linearly" `Quick
-      (fun () ->
-        (* A ramp of 100k same-key pushes in seq order crosses several
-           resizes, each of which reverses the chain, leaving a stack of
-           alternately reversed blocks.  That layout drove the previous
-           deterministic-pivot quicksort quadratic (~6s for the one lazy
-           sort); the merge sort keeps it O(n log n).  The drain-and-
-           reschedule loop below is the Monitor window-roll pattern that
-           exposed it.  Correctness assert: strict FIFO per key and
-           key-major order across rolls. *)
-        let n = 100_000 in
-        let c = Sim.Calendar.create () in
-        let seq = ref 0 in
-        let push key =
-          incr seq;
-          Sim.Calendar.push_ns c ~key ~seq:!seq !seq
-        in
-        for _ = 1 to n do
-          push 1_000_000
-        done;
-        let t0 = Unix.gettimeofday () in
-        for roll = 2 to 3 do
-          let prev = ref 0 in
-          for _ = 1 to n do
-            (match Sim.Calendar.pop_ns c with
-            | Some (k, s, _) when k = (roll - 1) * 1_000_000 && s > !prev ->
-                prev := s
-            | _ -> Alcotest.failf "out of order during roll %d" roll);
-            push (roll * 1_000_000)
-          done
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        Alcotest.(check bool)
-          (Printf.sprintf "two rolls of 100k under 2s (took %.2fs)" dt)
-          true (dt < 2.0));
-    Alcotest.test_case "out-of-range keys are rejected" `Quick (fun () ->
-        let c = Sim.Calendar.create () in
-        Alcotest.check_raises "negative"
-          (Invalid_argument "Calendar.push_ns: key out of range") (fun () ->
-            Sim.Calendar.push_ns c ~key:(-1) ~seq:0 0);
-        Alcotest.check_raises "beyond 2^61"
-          (Invalid_argument "Calendar.push_ns: key out of range") (fun () ->
-            Sim.Calendar.push_ns c ~key:((1 lsl 61) + 1) ~seq:0 0));
-    Alcotest.test_case "clear empties and the queue stays usable" `Quick
-      (fun () ->
-        let c = Sim.Calendar.create () in
-        for i = 1 to 10 do
-          Sim.Calendar.push_ns c ~key:i ~seq:i i
-        done;
-        Sim.Calendar.clear c;
-        Alcotest.(check int) "empty" 0 (Sim.Calendar.length c);
-        Alcotest.(check bool) "pop none" true (Sim.Calendar.pop_ns c = None);
-        Sim.Calendar.push_ns c ~key:3 ~seq:0 42;
-        match Sim.Calendar.pop_ns c with
-        | Some (3, 0, 42) -> ()
-        | _ -> Alcotest.fail "calendar unusable after clear");
+        Alcotest.(check bool) "pop none" true (heap_pop h = None);
+        Sim.Heap.push h ~key:3 ~seq:0 42;
+        match heap_pop h with
+        | Some (3, 42) -> ()
+        | _ -> Alcotest.fail "heap unusable after clear");
   ]
 
 let fault_tests =
@@ -492,7 +299,7 @@ let engine_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 3) (fun () -> log := 3 :: !log));
         Sim.Engine.run e;
         Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
-        Alcotest.(check int64) "clock" (Sim.Time.ms 3) (Sim.Engine.now e));
+        Alcotest.check time "clock" (Sim.Time.ms 3) (Sim.Engine.now e));
     Alcotest.test_case "same-instant events run FIFO" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let log = ref [] in
@@ -526,7 +333,7 @@ let engine_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 10) (fun () -> incr fired));
         Sim.Engine.run e ~until:(Sim.Time.ms 5);
         Alcotest.(check int) "one fired" 1 !fired;
-        Alcotest.(check int64) "clock at until" (Sim.Time.ms 5) (Sim.Engine.now e);
+        Alcotest.check time "clock at until" (Sim.Time.ms 5) (Sim.Engine.now e);
         Sim.Engine.run e;
         Alcotest.(check int) "both fired" 2 !fired);
     Alcotest.test_case "schedule_at in the past is rejected" `Quick (fun () ->
@@ -557,7 +364,7 @@ let engine_tests =
             !n < 5);
         Sim.Engine.run e;
         Alcotest.(check int) "five ticks" 5 !n;
-        Alcotest.(check int64) "clock" (Sim.Time.ms 5) (Sim.Engine.now e));
+        Alcotest.check time "clock" (Sim.Time.ms 5) (Sim.Engine.now e));
     Alcotest.test_case "max_events bounds a run" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let n = ref 0 in
@@ -690,43 +497,67 @@ let engine_tests =
         Sim.Engine.run e;
         Alcotest.(check (float 1e-9)) "run still flushes" 0.0
           (Sim.Metrics.get depth));
-    Alcotest.test_case "queue modes fire in identical order" `Quick (fun () ->
-        (* The same scenario — scrambled delays, same-instant ties,
-           mid-run cancellations, enough live events to push [`Auto]
-           past its migration threshold — must produce the same event
-           order on the heap, on the calendar queue, and across the
-           auto migration. *)
-        let scenario queue =
-          let e =
-            Sim.Engine.create ~queue ~metrics:(Sim.Metrics.create ()) ()
-          in
-          let log = ref [] in
-          let ids = Array.make 40_000 None in
-          for i = 0 to 39_999 do
-            let d = 1 + (i * 2654435761 land 0xFFFF) in
-            ids.(i) <-
-              Some
-                (Sim.Engine.schedule e ~delay:(Sim.Time.us d) (fun () ->
-                     log := i :: !log))
-          done;
-          for i = 0 to 39_999 do
-            if i mod 7 = 0 then
-              match ids.(i) with
-              | Some id -> ignore (Sim.Engine.cancel e id)
-              | None -> ()
-          done;
-          Sim.Engine.run e;
-          (List.rev !log, Sim.Engine.now e)
+    Alcotest.test_case "scrambled delays and cancellations fire in order"
+      `Quick (fun () ->
+        (* 40k live events with scrambled delays, same-instant ties and
+           mid-run cancellations: the firing order must be exactly the
+           uncancelled events sorted by (time, scheduling order). *)
+        let n = 40_000 in
+        let delay i = 1 + (i * 2654435761 land 0xFFFF) in
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        let log = ref [] in
+        let ids =
+          Array.init n (fun i ->
+              Sim.Engine.schedule e ~delay:(Sim.Time.us (delay i)) (fun () ->
+                  log := i :: !log))
         in
-        let heap = scenario `Heap in
-        let cal = scenario `Calendar in
-        let auto = scenario `Auto in
-        Alcotest.(check bool) "calendar = heap" true (cal = heap);
-        Alcotest.(check bool) "auto = heap" true (auto = heap);
-        Alcotest.(check int)
-          "log covers the uncancelled events"
-          (40_000 - ((39_999 / 7) + 1))
-          (List.length (fst heap)));
+        Array.iteri
+          (fun i id -> if i mod 7 = 0 then ignore (Sim.Engine.cancel e id))
+          ids;
+        Sim.Engine.run e;
+        let expected =
+          List.init n Fun.id
+          |> List.filter (fun i -> i mod 7 <> 0)
+          |> List.stable_sort (fun a b -> compare (delay a) (delay b))
+        in
+        Alcotest.(check (list int)) "order" expected (List.rev !log);
+        let last = List.fold_left (fun m i -> max m (delay i)) 0 expected in
+        Alcotest.check time "clock" (Sim.Time.us last) (Sim.Engine.now e));
+    Alcotest.test_case "100k same-instant daemon reschedules fire FIFO" `Quick
+      (fun () ->
+        (* The monitor window-roll pattern at its worst: 100k daemons
+           due at one instant, each rescheduling itself to the next
+           roll's instant as it fires.  Every roll must fire in
+           scheduling order, and the flood must stay O(n log n). *)
+        let n = 100_000 and rolls = 3 in
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        let next = Array.make (rolls + 1) 0 in
+        let rec fire i roll () =
+          if i <> next.(roll) then
+            Alcotest.failf "roll %d fired %d, expected %d" roll i next.(roll);
+          next.(roll) <- i + 1;
+          if roll < rolls then
+            ignore
+              (Sim.Engine.schedule_at ~daemon:true e
+                 ~at:(Sim.Time.ms (roll + 1))
+                 (fire i (roll + 1)))
+        in
+        for i = 0 to n - 1 do
+          ignore
+            (Sim.Engine.schedule_at ~daemon:true e ~at:(Sim.Time.ms 1)
+               (fire i 1))
+        done;
+        let t0 = Unix.gettimeofday () in
+        Sim.Engine.run e ~until:(Sim.Time.ms rolls);
+        let dt = Unix.gettimeofday () -. t0 in
+        for roll = 1 to rolls do
+          Alcotest.(check int) (Printf.sprintf "roll %d complete" roll) n
+            next.(roll)
+        done;
+        Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
+        Alcotest.(check bool)
+          (Printf.sprintf "three rolls of 100k under 2s (took %.2fs)" dt)
+          true (dt < 2.0));
   ]
 
 let rng_tests =
@@ -909,6 +740,14 @@ let stats_tests =
         Alcotest.(check (float 1e-6)) "p100" 100.0 (Sim.Stats.Samples.percentile s 100.0);
         Alcotest.(check (float 0.5)) "p50" 50.5 (Sim.Stats.Samples.percentile s 50.0);
         Alcotest.(check (float 0.5)) "p99" 99.0 (Sim.Stats.Samples.percentile s 99.0));
+    Alcotest.test_case "percentile_sorted reads only the sorted prefix" `Quick
+      (fun () ->
+        let a = [| 1.0; 2.0; 3.0; 4.0; 100.0 |] in
+        Alcotest.(check (float 1e-9)) "p0" 1.0 (Sim.Stats.percentile_sorted a 4 0.0);
+        Alcotest.(check (float 1e-9)) "p50" 2.5 (Sim.Stats.percentile_sorted a 4 50.0);
+        Alcotest.(check (float 1e-9)) "p100" 4.0 (Sim.Stats.percentile_sorted a 4 100.0);
+        Alcotest.(check (float 1e-9)) "one element" 1.0
+          (Sim.Stats.percentile_sorted a 1 99.0));
     Alcotest.test_case "percentile edges" `Quick (fun () ->
         (* a single sample answers every quantile *)
         let one = Sim.Stats.Samples.create () in
@@ -1130,10 +969,10 @@ let trace_tests =
             Alcotest.(check bool) "instant phase" true
               (i.Sim.Trace.ev_phase = Sim.Trace.Instant);
             Alcotest.(check string) "instant cat" "cell" i.Sim.Trace.ev_cat;
-            Alcotest.(check int64) "complete dur" (Sim.Time.us 5)
+            Alcotest.check time "complete dur" (Sim.Time.us 5)
               (Option.get c.Sim.Trace.ev_dur);
             Alcotest.(check string) "span name" "pfs.read" s.Sim.Trace.ev_name;
-            Alcotest.(check int64) "span dur" (Sim.Time.us 15)
+            Alcotest.check time "span dur" (Sim.Time.us 15)
               (Option.get s.Sim.Trace.ev_dur);
             Alcotest.(check int) "span args merged" 2
               (List.length s.Sim.Trace.ev_args)
@@ -1647,7 +1486,7 @@ let daemon_tests =
         (* The run stops at the last user event; the daemon fired only
            while user work remained. *)
         Alcotest.(check int) "three ticks" 3 !ticks;
-        Alcotest.(check int64) "stopped at 35ms" (Sim.Time.ms 35)
+        Alcotest.check time "stopped at 35ms" (Sim.Time.ms 35)
           (Sim.Engine.now e));
     Alcotest.test_case "daemons do fire under a time bound" `Quick (fun () ->
         let e = Sim.Engine.create () in
@@ -1664,7 +1503,7 @@ let daemon_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 2) (fun () -> ()));
         ignore (Sim.Engine.cancel e id);
         Sim.Engine.run e;
-        Alcotest.(check int64) "user event still ran" (Sim.Time.ms 2)
+        Alcotest.check time "user event still ran" (Sim.Time.ms 2)
           (Sim.Engine.now e));
   ]
 
@@ -1673,7 +1512,6 @@ let () =
     [
       ("time", time_tests);
       ("heap", heap_tests);
-      ("calendar", calendar_tests);
       ("engine", engine_tests);
       ("rng", rng_tests);
       ("stats", stats_tests);

@@ -115,7 +115,7 @@ let link_tests =
         let expect = Sim.Time.add (Sim.Time.ns (n * 4240)) (us 5) in
         Alcotest.(check int) "all cells" n (List.length !got);
         List.iter
-          (fun (at, _) -> Alcotest.(check int64) "arrival" expect at)
+          (fun (at, _) -> Alcotest.(check (testable Sim.Time.pp ( = ))) "arrival" expect at)
           !got);
     Alcotest.test_case "queue_depth integer math at slot boundaries" `Quick
       (fun () ->
