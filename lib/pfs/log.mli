@@ -97,18 +97,41 @@ val sync : t -> k:((unit, error) result -> unit) -> unit
     restores the state as of the last seal or explicit checkpoint —
     whatever sat only in the open segment buffers is lost, which is
     precisely the window the client agent's buffering (and the UPS)
-    exists to cover. *)
+    exists to cover.
+
+    The log keeps that recovery point as an undo journal: every change
+    to the segment table, the pnodes and the allocators since the last
+    seal records the value it overwrote.  A seal or checkpoint drops
+    the journal, so it costs O(1) whatever the size of the file
+    system; a recovery replays it newest first, so it costs
+    O(changes since the recovery point).  Before the first seal the
+    journal reaches back to {!create}, and a crash leaves an empty file
+    system.
+
+    The {!Garbage} file and the statistics are not rolled back.
+    Garbage entries written after the recovery point survive the
+    crash; the cleaner re-checks every extent's liveness before moving
+    it, so such an entry costs at most a wasted move.
+
+    A seal records the whole mapping wherever the operation that
+    sealed had got to.  A write that spans a seal is recorded before
+    its new extents are mapped, so a crash right after it is
+    acknowledged returns the file without them; and with continuous
+    files, a seal of one open segment can record a file mapped into the
+    other open segment, which the crash recycles. *)
 
 val checkpoint : t -> k:((unit, error) result -> unit) -> unit
 (** Seal the open segments and record a recovery point (one extra
     checkpoint-region write). *)
 
 val crash_and_recover : t -> k:(lost_bytes:int -> unit) -> unit
-(** Lose the volatile state (open segment buffers and metadata changes
-    since the last seal/checkpoint), then rebuild from the checkpoint
-    plus roll-forward; [k] reports how many buffered bytes vanished.
-    Note the LFS quirk: a delete performed after the last seal is also
-    rolled back — the file returns. *)
+(** Lose the volatile state — the open segment buffers, and every
+    metadata change since the last seal, checkpoint or recovery, which
+    the journal undoes — then reopen fresh segments; [k] reports how
+    many buffered bytes vanished.  The recovered state is itself a
+    recovery point: a second crash returns to it.  Note the LFS quirk:
+    a delete performed after the last seal is also rolled back — the
+    file returns. *)
 
 (** {1 Segment bookkeeping (used by the cleaners)} *)
 

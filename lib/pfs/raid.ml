@@ -118,21 +118,27 @@ let write_segment t ~seg ?data ?(flow = Sim.Trace.no_flow) k =
       flow_join t flow;
       if failures > 1 then k (Error `Lost) else k (Ok ()))
 
-let reconstruct t store seg cells =
-  (* Rebuild at most one missing chunk from the XOR of the others. *)
-  let missing = ref [] in
-  Array.iteri (fun i c -> if c = None then missing := i :: !missing) cells;
-  match !missing with
-  | [] -> true
-  | [ i ] ->
-      let acc = Bytes.make t.chunk '\000' in
-      Array.iteri (fun j c -> if j <> i then
-        match c with Some b -> xor_into acc b | None -> assert false)
-        cells;
-      cells.(i) <- Some acc;
-      Hashtbl.replace store seg cells;
-      true
-  | _ :: _ :: _ -> false
+(* The segment's chunks, data then parity, with at most one missing
+   chunk rebuilt from the XOR of the others (and stored back); [None]
+   when two or more are missing. *)
+let reconstruct t store seg view =
+  let missing = Array.fold_left (fun n c -> if c = None then n + 1 else n) 0 view in
+  if missing > 1 then None
+  else begin
+    (* The XOR of the present chunks is the missing one. *)
+    let rebuilt = Bytes.make (if missing = 0 then 0 else t.chunk) '\000' in
+    Array.iter (Option.iter (xor_into rebuilt)) view;
+    let chunks = Array.map (function Some b -> b | None -> rebuilt) view in
+    if missing = 1 then Hashtbl.replace store seg (Array.map Option.some chunks);
+    Some chunks
+  end
+
+let assemble t chunks =
+  let out = Bytes.create t.seg_bytes in
+  for d = 0 to t.n_data - 1 do
+    Bytes.blit chunks.(d) 0 out (d * t.chunk) t.chunk
+  done;
+  out
 
 let read_segment_flow t ~seg ~flow ~k =
   let off = seg * t.chunk in
@@ -149,16 +155,9 @@ let read_segment_flow t ~seg ~flow ~k =
             Array.iteri
               (fun i d -> if Disk.failed d then view.(i) <- None)
               t.all_disks;
-            if not (reconstruct t store seg view) then k (Error `Lost)
-            else begin
-              let out = Bytes.create t.seg_bytes in
-              for d = 0 to t.n_data - 1 do
-                match view.(d) with
-                | Some b -> Bytes.blit b 0 out (d * t.chunk) t.chunk
-                | None -> assert false
-              done;
-              k (Ok (Some out))
-            end
+            match reconstruct t store seg view with
+            | None -> k (Error `Lost)
+            | Some chunks -> k (Ok (Some (assemble t chunks)))
       end
   in
   (* A disk that fails *mid-read* answers [Error `Failed] after the
@@ -208,17 +207,7 @@ let peek_segment t ~seg =
       | Some cells ->
           let view = Array.copy cells in
           Array.iteri (fun i d -> if Disk.failed d then view.(i) <- None) t.all_disks;
-          if not (reconstruct t store seg view) then None
-          else begin
-            let out = Bytes.create t.seg_bytes in
-            let ok = ref true in
-            for d = 0 to t.n_data - 1 do
-              match view.(d) with
-              | Some b -> Bytes.blit b 0 out (d * t.chunk) t.chunk
-              | None -> ok := false
-            done;
-            if !ok then Some out else None
-          end
+          Option.map (assemble t) (reconstruct t store seg view)
     end
 
 let read_extent_flow t ~seg ~off ~len ~flow ~k =
