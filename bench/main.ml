@@ -378,8 +378,8 @@ let bench_schedule_cancel () =
   ( "schedule_cancel_fire",
     Sim.Json.Obj (throughput_json ~ops:engine_events total) )
 
-let bench_dist_observe ~exact =
-  let m = Sim.Metrics.create ~exact_dists:exact () in
+let bench_dist_observe () =
+  let m = Sim.Metrics.create () in
   let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "bench.lat" in
   let ops = 1_000_000 in
   let total =
@@ -388,8 +388,7 @@ let bench_dist_observe ~exact =
           Sim.Metrics.observe d (Float.of_int (i land 1023))
         done)
   in
-  ( (if exact then "dist_observe_exact" else "dist_observe_reservoir"),
-    Sim.Json.Obj (throughput_json ~ops total) )
+  ("dist_observe_reservoir", Sim.Json.Obj (throughput_json ~ops total))
 
 (* Steady-state heap churn at a fixed queue depth: prefill [depth]
    entries, then time push+pop pairs.  Run for both the live 4-ary
@@ -495,9 +494,7 @@ let run_engine_bench path =
   let engine_parts =
     [ bench_schedule_fire (); bench_schedule_cancel (); bench_steady_state () ]
   in
-  let metric_parts =
-    [ bench_dist_observe ~exact:false; bench_dist_observe ~exact:true ]
-  in
+  let metric_parts = [ bench_dist_observe () ] in
   let heap_rows = List.map bench_heap_at_depth heap_depths in
   List.iter
     (fun (name, j) ->
@@ -643,21 +640,16 @@ let run_atm_bench ~smoke path =
    number is the cost the instrumentation adds to every untraced run —
    the contract is "one branch per record site", and CI gates on it
    regressing >30% against the committed baseline (see
-   .github/workflows/ci.yml).  The enabled numbers split the recording
-   cost between the unbounded sink (audit capture) and the default
-   bounded ring. *)
+   .github/workflows/ci.yml).  The enabled number is the recording
+   cost. *)
 
 let trace_record_ops = 1_000_000
 
 let trace_for mode =
   match mode with
   | `Disabled -> Sim.Trace.create ~enabled:false ()
-  | `Unbounded ->
-      let tr = Sim.Trace.create ~unbounded:true ~enabled:true () in
-      Sim.Trace.set_flows tr true;
-      tr
-  | `Ring ->
-      let tr = Sim.Trace.create ~capacity:65536 ~enabled:true () in
+  | `Enabled ->
+      let tr = Sim.Trace.create () in
       Sim.Trace.set_flows tr true;
       tr
 
@@ -665,8 +657,7 @@ let bench_record_site mode =
   let name =
     match mode with
     | `Disabled -> "record_disabled"
-    | `Unbounded -> "record_unbounded"
-    | `Ring -> "record_ring"
+    | `Enabled -> "record_unbounded"
   in
   let ts = Sim.Time.us 1 in
   let total =
@@ -684,7 +675,7 @@ let bench_record_site mode =
    10k flows of start + 8 hops + end across 4 streams, the shape the
    [pegasus_cli audit] scenarios produce. *)
 let bench_audit_build () =
-  let tr = Sim.Trace.create ~unbounded:true ~enabled:true () in
+  let tr = Sim.Trace.create () in
   Sim.Trace.set_flows tr true;
   let flows = 10_000 and hops = 8 in
   let events = flows * (hops + 2) in
@@ -717,8 +708,7 @@ let run_trace_bench path =
   let sites =
     [
       bench_record_site `Disabled;
-      bench_record_site `Unbounded;
-      bench_record_site `Ring;
+      bench_record_site `Enabled;
     ]
   in
   let audit = bench_audit_build () in

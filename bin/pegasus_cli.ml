@@ -9,7 +9,8 @@ let quick_arg =
 (* The observability flags below are shared by every subcommand that
    runs a simulation (run, audit, health, parallel, cityscale,
    vodscale); they export the process-default trace sink and metrics
-   registry after the run, so sharded rigs whose shards carry private
+   registry after the run.  The sink keeps every event it records, so
+   an export is complete; sharded rigs whose shards carry private
    registries contribute only what they route through the defaults. *)
 
 let trace_out_arg =
@@ -54,12 +55,7 @@ let list_cmd =
 
 let with_observability ~trace_out ~metrics_out f =
   let tr = Sim.Trace.default in
-  (match trace_out with
-  | Some _ ->
-      (* Full-fidelity capture for export: no ring, count every event. *)
-      Sim.Trace.set_capacity tr None;
-      Sim.Trace.enable tr true
-  | None -> ());
+  if Option.is_some trace_out then Sim.Trace.enable tr true;
   let result = f () in
   try
     (match trace_out with
@@ -67,8 +63,8 @@ let with_observability ~trace_out ~metrics_out f =
         if Filename.check_suffix path ".jsonl" then
           Sim.Trace.write_jsonl tr path
         else Sim.Trace.write_chrome tr path;
-        Format.eprintf "wrote %d trace events to %s (%d dropped)@."
-          (Sim.Trace.length tr) path (Sim.Trace.dropped tr)
+        Format.eprintf "wrote %d trace events to %s@." (Sim.Trace.length tr)
+          path
     | None -> ());
     (match metrics_out with
     | Some path ->
@@ -154,10 +150,9 @@ let audit_cmd =
     (* The audit rigs are single-shard worlds: any domain count yields
        the same report (the CI determinism job diffs this). *)
     let tr = Sim.Trace.default in
-    (* Flow-only capture: unbounded (the audit needs every flow event),
-       without per-cell detail, so the train fast path stays intact and
-       short runs stay cheap. *)
-    Sim.Trace.set_capacity tr None;
+    (* Flow-only capture (the sink keeps every flow event the audit
+       needs), without per-cell detail, so the train fast path stays
+       intact and short runs stay cheap. *)
     Sim.Trace.enable tr true;
     Sim.Trace.set_flows tr true;
     Sim.Trace.set_cell_detail tr false;
@@ -176,8 +171,8 @@ let audit_cmd =
           if Filename.check_suffix path ".jsonl" then
             Sim.Trace.write_jsonl tr path
           else Sim.Trace.write_chrome tr path;
-          Format.eprintf "wrote %d trace events to %s (%d dropped)@."
-            (Sim.Trace.length tr) path (Sim.Trace.dropped tr)
+          Format.eprintf "wrote %d trace events to %s@." (Sim.Trace.length tr)
+            path
       | None -> ());
       if json then print_string (Sim.Json.to_string (Sim.Audit.to_json report))
       else Format.printf "%a" Sim.Audit.pp report;

@@ -76,7 +76,7 @@ type row_result = {
 }
 
 let row ~quick ~clients ~mode () =
-  let tr = Sim.Trace.create ~unbounded:true ~enabled:true () in
+  let tr = Sim.Trace.create () in
   Sim.Trace.set_flows tr true;
   Sim.Trace.set_cell_detail tr false;
   let e = Sim.Engine.create ~trace:tr ~metrics:(Sim.Metrics.create ()) () in

@@ -18,20 +18,15 @@ type gauge = {
   g_cell : floatarray;
 }
 
-(* A distribution's percentile store is either a bounded deterministic
-   reservoir (the default: O(capacity) memory no matter how long the
-   run) or the exact sample array (kept for tests and byte-for-byte
-   regression baselines, O(n) memory). *)
-type dist_store =
-  | Exact of Stats.Samples.t
-  | Sampled of Stats.Reservoir.t
-
+(* A distribution keeps exact streaming moments in [d_summary] and a
+   bounded deterministic reservoir for its percentiles, so it costs
+   O(reservoir) memory no matter how long the run. *)
 type dist = {
   d_sub : Subsystem.t;
   d_name : string;
   d_help : string;
   d_summary : Stats.Summary.t;
-  d_store : dist_store;
+  d_res : Stats.Reservoir.t;
 }
 
 (* A windowed observer is a sample fan-out point: components call
@@ -57,10 +52,9 @@ type metric =
   | Dist of dist
   | Obs of observer
 
-type t = { tbl : (string * string, metric) Hashtbl.t; exact_dists : bool }
+type t = { tbl : (string * string, metric) Hashtbl.t }
 
-let create ?(exact_dists = false) () =
-  { tbl = Hashtbl.create 64; exact_dists }
+let create () = { tbl = Hashtbl.create 64 }
 
 let default = create ()
 
@@ -74,11 +68,9 @@ let reset t =
       match m with
       | Counter c -> c.c_value <- 0
       | Gauge g -> Float.Array.set g.g_cell 0 0.0
-      | Dist d -> (
+      | Dist d ->
           Stats.Summary.clear d.d_summary;
-          match d.d_store with
-          | Exact s -> Stats.Samples.clear s
-          | Sampled r -> Stats.Reservoir.clear r)
+          Stats.Reservoir.clear d.d_res
       | Obs o -> o.o_count <- 0)
     t.tbl
 
@@ -88,37 +80,44 @@ let kind_name = function
   | Dist _ -> "dist"
   | Obs _ -> "observer"
 
-let get_or_create t ~sub ~name ~kind make =
-  let key = (Subsystem.to_string sub, name) in
-  match Hashtbl.find_opt t.tbl key with
-  | Some m ->
-      let existing = kind_name m in
-      if existing <> kind then
-        invalid_arg
-          (Printf.sprintf "Metrics: %s/%s registered as %s, requested as %s"
-             (fst key) name existing kind);
-      m
-  | None ->
-      let m = make () in
-      Hashtbl.replace t.tbl key m;
-      m
+(* Get-or-create.  Each accessor matches its own kind on a hit and
+   reports any other as a mismatch; [Hashtbl.find] rather than
+   [find_opt] keeps a hit free of an option allocation, which matters
+   because some callers register on every operation. *)
+let find t sub name = Hashtbl.find t.tbl (Subsystem.to_string sub, name)
+
+let add t sub name m =
+  Hashtbl.replace t.tbl (Subsystem.to_string sub, name) m
+
+let mismatch sub name m kind =
+  invalid_arg
+    (Printf.sprintf "Metrics: %s/%s registered as %s, requested as %s"
+       (Subsystem.to_string sub) name (kind_name m) kind)
 
 let counter t ~sub ?(help = "") name =
-  match
-    get_or_create t ~sub ~name ~kind:"counter" (fun () ->
-        Counter { c_sub = sub; c_name = name; c_help = help; c_value = 0 })
-  with
+  match find t sub name with
   | Counter c -> c
-  | Gauge _ | Dist _ | Obs _ -> assert false
+  | m -> mismatch sub name m "counter"
+  | exception Not_found ->
+      let c = { c_sub = sub; c_name = name; c_help = help; c_value = 0 } in
+      add t sub name (Counter c);
+      c
 
 let gauge t ~sub ?(help = "") name =
-  match
-    get_or_create t ~sub ~name ~kind:"gauge" (fun () ->
-        Gauge
-          { g_sub = sub; g_name = name; g_help = help; g_cell = Float.Array.make 1 0.0 })
-  with
+  match find t sub name with
   | Gauge g -> g
-  | Counter _ | Dist _ | Obs _ -> assert false
+  | m -> mismatch sub name m "gauge"
+  | exception Not_found ->
+      let g =
+        {
+          g_sub = sub;
+          g_name = name;
+          g_help = help;
+          g_cell = Float.Array.make 1 0.0;
+        }
+      in
+      add t sub name (Gauge g);
+      g
 
 (* Each reservoir is seeded from its identity (FNV-1a over
    "subsystem/name"), so every dist draws an independent, reproducible
@@ -134,43 +133,42 @@ let dist_seed sub name =
   fnv (fnv (fnv 0xCBF29CE484222325L sub) "/") name
 
 let dist t ~sub ?(help = "") name =
-  match
-    get_or_create t ~sub ~name ~kind:"dist" (fun () ->
-        let store =
-          if t.exact_dists then Exact (Stats.Samples.create ())
-          else
-            Sampled
-              (Stats.Reservoir.create
-                 ~seed:(dist_seed (Subsystem.to_string sub) name)
-                 ())
-        in
-        Dist
-          {
-            d_sub = sub;
-            d_name = name;
-            d_help = help;
-            d_summary = Stats.Summary.create ();
-            d_store = store;
-          })
-  with
+  match find t sub name with
   | Dist d -> d
-  | Counter _ | Gauge _ | Obs _ -> assert false
+  | m -> mismatch sub name m "dist"
+  | exception Not_found ->
+      let d =
+        {
+          d_sub = sub;
+          d_name = name;
+          d_help = help;
+          d_summary = Stats.Summary.create ();
+          d_res =
+            Stats.Reservoir.create
+              ~seed:(dist_seed (Subsystem.to_string sub) name)
+              ();
+        }
+      in
+      add t sub name (Dist d);
+      d
 
 let observer t ~sub ?(help = "") name =
-  match
-    get_or_create t ~sub ~name ~kind:"observer" (fun () ->
-        Obs
-          {
-            o_sub = sub;
-            o_name = name;
-            o_help = help;
-            o_on = false;
-            o_count = 0;
-            o_sinks = [||];
-          })
-  with
+  match find t sub name with
   | Obs o -> o
-  | Counter _ | Gauge _ | Dist _ -> assert false
+  | m -> mismatch sub name m "observer"
+  | exception Not_found ->
+      let o =
+        {
+          o_sub = sub;
+          o_name = name;
+          o_help = help;
+          o_on = false;
+          o_count = 0;
+          o_sinks = [||];
+        }
+      in
+      add t sub name (Obs o);
+      o
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let value c = c.c_value
@@ -195,25 +193,12 @@ let attach_sink o f =
   o.o_sinks <- Array.append o.o_sinks [| f |];
   o.o_on <- true
 
-let detach_sinks o =
-  o.o_sinks <- [||];
-  o.o_on <- false
-
-let sample_count o = o.o_count
-let enabled o = o.o_on
-
-let observe d x =
+(* Out of line: inlined into [Atm.Link], it would box the float twice. *)
+let[@inline never] observe d x =
   Stats.Summary.add d.d_summary x;
-  match d.d_store with
-  | Exact s -> Stats.Samples.add s x
-  | Sampled r -> Stats.Reservoir.add r x
+  Stats.Reservoir.add d.d_res x
 
 let observed d = Stats.Summary.count d.d_summary
-
-let dist_percentile d q =
-  match d.d_store with
-  | Exact s -> Stats.Samples.percentile s q
-  | Sampled r -> Stats.Reservoir.percentile r q
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots. *)
@@ -244,7 +229,7 @@ let json_of_metric m =
       let stats =
         if n = 0 then [ ("count", Json.Int 0) ]
         else
-          let p q = Json.Float (dist_percentile d q) in
+          let p q = Json.Float (Stats.Reservoir.percentile d.d_res q) in
           [
             ("count", Json.Int n);
             ("mean", Json.Float (Stats.Summary.mean d.d_summary));
@@ -266,32 +251,3 @@ let snapshot t =
   Json.Obj [ ("metrics", Json.List (List.map json_of_metric (sorted_metrics t))) ]
 
 let write t path = Json.to_file path (snapshot t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c ->
-          Format.fprintf fmt "%a/%s = %d@," Subsystem.pp c.c_sub c.c_name c.c_value
-      | Gauge g ->
-          Format.fprintf fmt "%a/%s = %g@," Subsystem.pp g.g_sub g.g_name
-            (Float.Array.get g.g_cell 0)
-      | Dist d ->
-          let n = Stats.Summary.count d.d_summary in
-          if n = 0 then
-            Format.fprintf fmt "%a/%s: empty@," Subsystem.pp d.d_sub d.d_name
-          else
-            Format.fprintf fmt "%a/%s: n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f@,"
-              Subsystem.pp d.d_sub d.d_name n
-              (Stats.Summary.mean d.d_summary)
-              (dist_percentile d 50.0)
-              (dist_percentile d 95.0)
-              (dist_percentile d 99.0)
-      | Obs o ->
-          Format.fprintf fmt "%a/%s: observer %s samples=%d@," Subsystem.pp
-            o.o_sub o.o_name
-            (if o.o_on then "on" else "off")
-            o.o_count)
-    (sorted_metrics t);
-  Format.fprintf fmt "@]"

@@ -8,17 +8,14 @@
     simulation builds.
 
     Distributions are backed by a streaming {!Stats.Summary} (count,
-    mean, stddev, min, max — always exact) plus a percentile store
-    snapshotted as p50/p95/p99.  By default the store is a bounded
-    deterministic {!Stats.Reservoir} (1024 samples, seeded from the
-    metric's own name), so a dist observed millions of times costs
-    O(1) memory and its snapshot is still byte-reproducible across
-    runs; percentiles are exact below 1024 observations and carry the
-    sampling tolerance documented on {!Stats.Reservoir} beyond it
-    (±1.6 rank points for p50, ±0.7 for p95/p99, one sigma).  Pass
-    [~exact_dists:true] to {!create} to store every observation instead
-    (exact percentiles, O(n) memory) — intended for tests and
-    regression baselines.
+    mean, stddev, min, max — always exact) plus a bounded deterministic
+    {!Stats.Reservoir} (1024 samples, seeded from the metric's own
+    name) snapshotted as p50/p95/p99.  A dist observed millions of
+    times therefore costs O(1) memory and its snapshot is still
+    byte-reproducible across runs; percentiles are exact below 1024
+    observations and carry the sampling tolerance documented on
+    {!Stats.Reservoir} beyond it (±1.6 rank points for p50, ±0.7 for
+    p95/p99, one sigma).
 
     A snapshot of the whole registry dumps as deterministic JSON
     (sorted by subsystem then name), which is what
@@ -39,14 +36,11 @@ type observer
     about SLO windows, and without any cost to runs that don't
     monitor. *)
 
-val create : ?exact_dists:bool -> unit -> t
-(** [exact_dists] (default [false]) makes every dist registered in
-    this registry store all observations exactly instead of reservoir-
-    sampling them. *)
+val create : unit -> t
 
 val default : t
 (** Process-wide registry used by {!Engine.create} when none is
-    supplied (reservoir-backed dists). *)
+    supplied. *)
 
 val reset : t -> unit
 (** Zero every registered metric in place: counters to 0, gauges to
@@ -93,14 +87,6 @@ val attach_sink : observer -> (float -> unit) -> unit
     attached (several SLOs can watch one stream); each sample is
     delivered to all of them in attachment order. *)
 
-val detach_sinks : observer -> unit
-(** Drop every sink and disable the observer. *)
-
-val sample_count : observer -> int
-(** Samples delivered while enabled (dropped samples are not counted). *)
-
-val enabled : observer -> bool
-
 (** {1 Snapshots} *)
 
 val snapshot : t -> Json.t
@@ -110,6 +96,3 @@ val snapshot : t -> Json.t
 
 val write : t -> string -> unit
 (** Write {!snapshot} to a file. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line-per-metric dump. *)

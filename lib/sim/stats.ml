@@ -212,64 +212,3 @@ module Reservoir = struct
 
   let to_array t = Array.sub t.data 0 t.stored
 end
-
-module Histogram = struct
-  type t = {
-    width : float;
-    counts : int array;
-    mutable n : int;
-    mutable oor : int;
-  }
-
-  let create ~bucket_width ~buckets =
-    assert (bucket_width > 0.0 && buckets > 0);
-    { width = bucket_width; counts = Array.make buckets 0; n = 0; oor = 0 }
-
-  (* NaN and negative samples used to land silently in bucket 0
-     ([Float.to_int nan = 0], negatives clamped up), polluting the
-     lowest bucket; they are tallied separately instead.  Values beyond
-     the top bucket are still clamped into it: they are at least
-     ordered correctly. *)
-  let add t x =
-    if Float.is_nan x || x < 0.0 then t.oor <- t.oor + 1
-    else begin
-      let b = Float.to_int (x /. t.width) in
-      let b = Stdlib.min b (Array.length t.counts - 1) in
-      t.counts.(b) <- t.counts.(b) + 1;
-      t.n <- t.n + 1
-    end
-
-  let count t = t.n
-  let out_of_range t = t.oor
-  let bucket_count t i = t.counts.(i)
-
-  let pp fmt t =
-    Format.fprintf fmt "@[<v>";
-    Array.iteri
-      (fun i c ->
-        if c > 0 then
-          Format.fprintf fmt "[%8.1f,%8.1f) %d@,"
-            (t.width *. Float.of_int i)
-            (t.width *. Float.of_int (i + 1))
-            c)
-      t.counts;
-    if t.oor > 0 then Format.fprintf fmt "out-of-range (NaN/negative) %d@," t.oor;
-    Format.fprintf fmt "@]"
-end
-
-module Counter = struct
-  type t = (string, int ref) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t name (ref by)
-
-  let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

@@ -1,4 +1,7 @@
-(** Online statistics for simulation measurements. *)
+(** Online statistics for simulation measurements: one store per job.
+    {!Summary} keeps streaming moments, {!Samples} keeps every value
+    for exact percentiles, and {!Reservoir} keeps a bounded
+    deterministic sample (the store behind {!Metrics} dists). *)
 
 (** Streaming summary: count, mean, variance (Welford), min, max. *)
 module Summary : sig
@@ -102,33 +105,4 @@ module Reservoir : sig
 
   val to_array : t -> float array
   (** The retained sample, in insertion/replacement order. *)
-end
-
-(** Fixed-width bucket histogram over [\[0, width * buckets)]; values
-    beyond the last bucket are clamped into it.  NaN and negative
-    samples are not bucketed (they carry no position information) —
-    they are tallied in a separate out-of-range counter instead. *)
-module Histogram : sig
-  type t
-
-  val create : bucket_width:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  (** Number of bucketed (in-range) samples. *)
-
-  val out_of_range : t -> int
-  (** Number of NaN or negative samples rejected by {!add}. *)
-
-  val bucket_count : t -> int -> int
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Named monotonic counters. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
 end

@@ -18,17 +18,16 @@ type event = {
 }
 
 type t = {
-  mutable cap : int option;  (* None = unbounded *)
   mutable enabled : bool;
   mutable flows : bool;  (* flow recording requested *)
   mutable cells : bool;  (* per-cell detail requested *)
   mutable f_on : bool;  (* enabled && flows, precomputed *)
   mutable c_on : bool;  (* enabled && cells, precomputed *)
   mutable next_flow : int;
+  (* The first [count] slots are used.  Empty until the first event, so
+     a disabled sink allocates nothing; doubled when full. *)
   mutable entries : event option array;
-  mutable head : int;  (* next write position (bounded mode) *)
   mutable count : int;
-  mutable dropped : int;
 }
 
 let no_flow = -1
@@ -44,21 +43,16 @@ type span =
       sp_args : (string * arg) list;
     }
 
-let create ?(capacity = 4096) ?(unbounded = false) ?(enabled = true) () =
-  let cap = if unbounded then None else Some capacity in
-  let initial = match cap with Some c -> c | None -> 64 in
+let create ?(enabled = true) () =
   {
-    cap;
     enabled;
     flows = false;
     cells = true;
     f_on = false;
     c_on = enabled;
     next_flow = 1;
-    entries = Array.make (Stdlib.max 1 initial) None;
-    head = 0;
+    entries = [||];
     count = 0;
-    dropped = 0;
   }
 
 let default = create ~enabled:false ()
@@ -89,41 +83,20 @@ let alloc_flow t =
   id
 
 let length t = t.count
-let dropped t = t.dropped
 
 let clear t =
-  Array.fill t.entries 0 (Array.length t.entries) None;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0
-
-(* Resizing mid-run restarts the sink: the new ring starts empty and
-   the drop counter restarts at zero, so post-resize statistics are
-   about the new capacity only. *)
-let set_capacity t cap =
-  t.cap <- cap;
-  let size = match cap with Some c -> Stdlib.max 1 c | None -> 64 in
-  t.entries <- Array.make size None;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0
+  Array.fill t.entries 0 t.count None;
+  t.count <- 0
 
 let push t ev =
   if t.enabled then begin
-    match t.cap with
-    | Some c ->
-        if t.count = c then t.dropped <- t.dropped + 1
-        else t.count <- t.count + 1;
-        t.entries.(t.head) <- Some ev;
-        t.head <- (t.head + 1) mod c
-    | None ->
-        if t.count = Array.length t.entries then begin
-          let bigger = Array.make (2 * t.count) None in
-          Array.blit t.entries 0 bigger 0 t.count;
-          t.entries <- bigger
-        end;
-        t.entries.(t.count) <- Some ev;
-        t.count <- t.count + 1
+    if t.count = Array.length t.entries then begin
+      let bigger = Array.make (Stdlib.max 64 (2 * t.count)) None in
+      Array.blit t.entries 0 bigger 0 t.count;
+      t.entries <- bigger
+    end;
+    t.entries.(t.count) <- Some ev;
+    t.count <- t.count + 1
   end
 
 let instant t ~ts ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
@@ -197,40 +170,7 @@ let span_end t ~ts ?(args = []) span =
         ~sub:s.sp_sub ~cat:s.sp_cat ~flow:s.sp_flow ~args:(s.sp_args @ args)
         s.sp_name
 
-let events t =
-  let result = ref [] in
-  let len = Array.length t.entries in
-  for i = 0 to t.count - 1 do
-    let idx =
-      match t.cap with
-      | Some _ -> (t.head - 1 - i + (2 * len)) mod len
-      | None -> t.count - 1 - i
-    in
-    match t.entries.(idx) with
-    | Some e -> result := e :: !result
-    | None -> ()
-  done;
-  !result
-
-(* ------------------------------------------------------------------ *)
-(* Legacy string API: a thin shim over the typed sink, kept so call
-   sites and tests that predate typed events continue to work. *)
-
-let record t time msg = instant t ~ts:time ~sub:Subsystem.Sim ~cat:"legacy" msg
-
-let recordf t time fmt =
-  Format.kasprintf (fun msg -> if t.enabled then record t time msg) fmt
-
-let to_list t = List.map (fun e -> (e.ev_ts, e.ev_name)) (events t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  if t.dropped > 0 then
-    Format.fprintf fmt "(%d earlier entries dropped)@," t.dropped;
-  List.iter
-    (fun (time, msg) -> Format.fprintf fmt "%a %s@," Time.pp time msg)
-    (to_list t);
-  Format.fprintf fmt "@]"
+let events t = List.init t.count (fun i -> Option.get t.entries.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Exporters. *)
@@ -273,18 +213,6 @@ let to_chrome t =
         ("args", Json.Obj [ ("name", Json.String (Subsystem.to_string sub)) ]);
       ]
   in
-  (* Final metadata record carrying the ring's drop counter, so a
-     truncated trace is detectable from inside the event stream. *)
-  let dropped_meta =
-    Json.Obj
-      [
-        ("name", Json.String "trace_dropped");
-        ("ph", Json.String "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("dropped", Json.Int t.dropped) ]);
-      ]
-  in
   let event e =
     let base =
       [
@@ -325,9 +253,8 @@ let to_chrome t =
       ( "traceEvents",
         Json.List
           ((process_meta :: List.map thread_meta lanes)
-          @ List.map event evs @ [ dropped_meta ]) );
+          @ List.map event evs) );
       ("displayTimeUnit", Json.String "ns");
-      ("otherData", Json.Obj [ ("dropped", Json.Int t.dropped) ]);
     ]
 
 let ph_string = function
@@ -359,12 +286,6 @@ let to_jsonl t =
       Json.to_buffer buf (json_of_event e);
       Buffer.add_char buf '\n')
     (events t);
-  (* Footer line: the drop counter, so consumers of a truncated ring
-     know how much is missing. *)
-  Json.to_buffer buf
-    (Json.Obj
-       [ ("meta", Json.String "dropped"); ("dropped", Json.Int t.dropped) ]);
-  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 let write_chrome t path = Json.to_file path (to_chrome t)

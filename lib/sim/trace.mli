@@ -2,10 +2,9 @@
 
     Components record spans and instants tagged with a {!Subsystem.t},
     a category and key/value arguments; tests and the CLI inspect or
-    export the result.  The sink is a bounded ring by default — the
-    oldest events are dropped (and counted) once at capacity — or
-    unbounded for full-fidelity export.  Disabled traces cost one
-    branch per record.
+    export the result.  The sink keeps every event it is given, in a
+    store that grows as needed, so an export is always complete.
+    Disabled traces cost one branch per record.
 
     {b Causal flows.}  A flow is a single request travelling through
     the system — one video frame from camera to display, one RPC from
@@ -50,10 +49,9 @@ type event = {
 type span
 (** In-flight span handle returned by {!span_begin}. *)
 
-val create : ?capacity:int -> ?unbounded:bool -> ?enabled:bool -> unit -> t
-(** Ring of [capacity] (default 4096) entries, or an unbounded sink
-    when [unbounded] is set.  Flow recording starts off; cell detail
-    starts on. *)
+val create : ?enabled:bool -> unit -> t
+(** An empty sink, enabled unless [enabled] is [false].  Flow recording
+    starts off; cell detail starts on. *)
 
 val default : t
 (** Process-wide sink used by {!Engine.create} when none is supplied.
@@ -63,17 +61,9 @@ val default : t
 val enable : t -> bool -> unit
 val enabled : t -> bool
 
-val set_capacity : t -> int option -> unit
-(** Resize to a ring of the given size, or unbounded for [None].
-    Clears recorded events {e and} resets the drop counter to zero —
-    resizing mid-run restarts the sink, so post-resize statistics
-    describe the new capacity only.  Safe while recording is active;
-    the next {!events} call sees only events recorded after the
-    resize. *)
-
 val clear : t -> unit
-(** Drop recorded events and reset the drop counter.  Flow-id
-    allocation is {e not} reset: ids stay unique across a run. *)
+(** Drop recorded events.  Flow-id allocation is {e not} reset: ids
+    stay unique across a run. *)
 
 (** {1 Flow ids} *)
 
@@ -182,45 +172,20 @@ val flow_end :
 (** {1 Inspection} *)
 
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Recorded events, oldest first. *)
 
 val length : t -> int
-
-val dropped : t -> int
-(** Events lost to ring wraparound since creation (or the last
-    {!clear}/{!set_capacity}). *)
-
-(** {1 Legacy string API}
-
-    Thin shim over the typed sink: each message becomes an instant
-    event with subsystem {!Subsystem.Sim} and category ["legacy"]. *)
-
-val record : t -> Time.t -> string -> unit
-
-val recordf :
-  t -> Time.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted {!record}; the message is only built when enabled. *)
-
-val to_list : t -> (Time.t * string) list
-(** Event timestamps and names, oldest first. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints retained entries; leads with the dropped count when events
-    were lost to wraparound. *)
 
 (** {1 Export} *)
 
 val to_chrome : t -> Json.t
 (** Chrome [trace_event] JSON: [process_name]/[thread_name] metadata
     events name the process and one lane per subsystem, flow events
-    carry phases [s]/[t]/[f] with their id, timestamps are in
-    microseconds, and the drop count appears both under ["otherData"]
-    and as a final [trace_dropped] metadata record. *)
+    carry phases [s]/[t]/[f] with their id, and timestamps are in
+    microseconds. *)
 
 val to_jsonl : t -> string
-(** One JSON object per line, oldest first, terminated by a footer
-    line [{"meta":"dropped","dropped":N}] carrying the ring's drop
-    counter. *)
+(** One JSON object per line, oldest first. *)
 
 val write_chrome : t -> string -> unit
 val write_jsonl : t -> string -> unit

@@ -187,7 +187,7 @@ let baseline_tests =
            2 — and the domain counter, the kernel metrics counter and
            the trace instants must all say so. *)
         let metrics = Sim.Metrics.create () in
-        let trace = Sim.Trace.create ~unbounded:true () in
+        let trace = Sim.Trace.create () in
         Sim.Trace.set_flows trace true;
         let e = Sim.Engine.create ~metrics ~trace () in
         let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in

@@ -775,36 +775,6 @@ let stats_tests =
         ignore (Sim.Stats.Samples.percentile s 50.0);
         Sim.Stats.Samples.add s 0.0;
         Alcotest.(check (float 1e-9)) "min" 0.0 (Sim.Stats.Samples.min s));
-    Alcotest.test_case "histogram buckets and clamps" `Quick (fun () ->
-        let h = Sim.Stats.Histogram.create ~bucket_width:10.0 ~buckets:5 in
-        List.iter (Sim.Stats.Histogram.add h) [ 0.0; 9.9; 10.0; 49.9; 1000.0; -3.0 ];
-        Alcotest.(check int) "b0 excludes the negative sample" 2
-          (Sim.Stats.Histogram.bucket_count h 0);
-        Alcotest.(check int) "b1" 1 (Sim.Stats.Histogram.bucket_count h 1);
-        Alcotest.(check int) "b4 clamps" 2 (Sim.Stats.Histogram.bucket_count h 4);
-        Alcotest.(check int) "n counts in-range only" 5
-          (Sim.Stats.Histogram.count h);
-        Alcotest.(check int) "negative is out-of-range" 1
-          (Sim.Stats.Histogram.out_of_range h));
-    Alcotest.test_case "histogram rejects NaN and negatives from bucket 0"
-      `Quick (fun () ->
-        (* [Float.to_int nan = 0], so NaN used to be silently filed as a
-           zero-valued sample; negatives were clamped up into bucket 0. *)
-        let h = Sim.Stats.Histogram.create ~bucket_width:1.0 ~buckets:4 in
-        List.iter (Sim.Stats.Histogram.add h)
-          [ Float.nan; -0.001; Float.neg_infinity; 0.5 ];
-        Alcotest.(check int) "only the real sample lands in b0" 1
-          (Sim.Stats.Histogram.bucket_count h 0);
-        Alcotest.(check int) "count" 1 (Sim.Stats.Histogram.count h);
-        Alcotest.(check int) "oor" 3 (Sim.Stats.Histogram.out_of_range h);
-        let text = Format.asprintf "%a" Sim.Stats.Histogram.pp h in
-        Alcotest.(check bool) "pp reports out-of-range" true
-          (let needle = "out-of-range" in
-           let n = String.length needle and l = String.length text in
-           let rec scan i =
-             i + n <= l && (String.sub text i n = needle || scan (i + 1))
-           in
-           scan 0));
     Alcotest.test_case "summary and samples clear in place" `Quick (fun () ->
         let s = Sim.Stats.Summary.create () in
         List.iter (Sim.Stats.Summary.add s) [ 1.0; 2.0; 3.0 ];
@@ -819,17 +789,6 @@ let stats_tests =
         Sim.Stats.Samples.add xs 9.0;
         Alcotest.(check (float 1e-9)) "samples reusable" 9.0
           (Sim.Stats.Samples.percentile xs 50.0));
-    Alcotest.test_case "counters" `Quick (fun () ->
-        let c = Sim.Stats.Counter.create () in
-        Sim.Stats.Counter.incr c "a";
-        Sim.Stats.Counter.incr c ~by:4 "a";
-        Sim.Stats.Counter.incr c "b";
-        Alcotest.(check int) "a" 5 (Sim.Stats.Counter.get c "a");
-        Alcotest.(check int) "b" 1 (Sim.Stats.Counter.get c "b");
-        Alcotest.(check int) "absent" 0 (Sim.Stats.Counter.get c "zzz");
-        Alcotest.(check (list (pair string int))) "list"
-          [ ("a", 5); ("b", 1) ]
-          (Sim.Stats.Counter.to_list c));
   ]
 
 let reservoir_tests =
@@ -912,41 +871,26 @@ let reservoir_tests =
 let trace_tests =
   [
     Alcotest.test_case "records in order" `Quick (fun () ->
-        let tr = Sim.Trace.create ~capacity:8 () in
-        Sim.Trace.record tr (Sim.Time.ms 1) "one";
-        Sim.Trace.record tr (Sim.Time.ms 2) "two";
-        Alcotest.(check (list string)) "order" [ "one"; "two" ]
-          (List.map snd (Sim.Trace.to_list tr)));
-    Alcotest.test_case "ring overwrites oldest" `Quick (fun () ->
-        let tr = Sim.Trace.create ~capacity:3 () in
-        List.iter (fun s -> Sim.Trace.record tr Sim.Time.zero s)
-          [ "a"; "b"; "c"; "d" ];
-        Alcotest.(check int) "len" 3 (Sim.Trace.length tr);
-        Alcotest.(check (list string)) "tail" [ "b"; "c"; "d" ]
-          (List.map snd (Sim.Trace.to_list tr)));
+        (* Far past the 64-slot initial store: the sink grows and keeps
+           every event, oldest first. *)
+        let tr = Sim.Trace.create () in
+        let n = 5_000 in
+        for i = 1 to n do
+          Sim.Trace.instant tr ~ts:(Sim.Time.us i) ~sub:Sim.Subsystem.Sim
+            (string_of_int i)
+        done;
+        Alcotest.(check int) "all kept" n (Sim.Trace.length tr);
+        Alcotest.(check (list string)) "oldest first"
+          (List.init n (fun i -> string_of_int (i + 1)))
+          (List.map (fun e -> e.Sim.Trace.ev_name) (Sim.Trace.events tr));
+        Sim.Trace.clear tr;
+        Alcotest.(check int) "clear empties" 0 (Sim.Trace.length tr);
+        Alcotest.(check int) "no events after clear" 0
+          (List.length (Sim.Trace.events tr)));
     Alcotest.test_case "disabled trace records nothing" `Quick (fun () ->
         let tr = Sim.Trace.create ~enabled:false () in
-        Sim.Trace.record tr Sim.Time.zero "x";
-        Sim.Trace.recordf tr Sim.Time.zero "%d" 42;
+        Sim.Trace.instant tr ~ts:Sim.Time.zero ~sub:Sim.Subsystem.Sim "x";
         Alcotest.(check int) "empty" 0 (Sim.Trace.length tr));
-    Alcotest.test_case "ring counts dropped events and pp reports them" `Quick
-      (fun () ->
-        let tr = Sim.Trace.create ~capacity:3 () in
-        for i = 1 to 10 do
-          Sim.Trace.record tr (Sim.Time.ms i) (Printf.sprintf "e%d" i)
-        done;
-        Alcotest.(check int) "retained" 3 (Sim.Trace.length tr);
-        Alcotest.(check int) "dropped" 7 (Sim.Trace.dropped tr);
-        let text = Format.asprintf "%a" Sim.Trace.pp tr in
-        Alcotest.(check bool) "pp mentions drops" true
-          (let needle = "7 earlier entries dropped" in
-           let n = String.length needle and l = String.length text in
-           let rec scan i =
-             i + n <= l && (String.sub text i n = needle || scan (i + 1))
-           in
-           scan 0);
-        Sim.Trace.clear tr;
-        Alcotest.(check int) "clear resets drop count" 0 (Sim.Trace.dropped tr));
     Alcotest.test_case "typed events: instant, complete, span" `Quick (fun () ->
         let tr = Sim.Trace.create () in
         Sim.Trace.instant tr ~ts:(Sim.Time.us 1) ~sub:Sim.Subsystem.Atm
@@ -984,38 +928,6 @@ let trace_tests =
         in
         Sim.Trace.span_end tr ~ts:(Sim.Time.ms 1) sp;
         Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.length tr));
-    Alcotest.test_case "set_capacity resizes mid-run and restarts the sink"
-      `Quick (fun () ->
-        let tr = Sim.Trace.create ~capacity:3 () in
-        for i = 1 to 10 do
-          Sim.Trace.record tr (Sim.Time.ms i) (Printf.sprintf "e%d" i)
-        done;
-        Alcotest.(check int) "pre-resize retained" 3 (Sim.Trace.length tr);
-        Alcotest.(check int) "pre-resize dropped" 7 (Sim.Trace.dropped tr);
-        (* Shrink while recording is active: events and the drop counter
-           both reset, so post-resize statistics describe the new
-           capacity only. *)
-        Sim.Trace.set_capacity tr (Some 2);
-        Alcotest.(check int) "resize clears events" 0 (Sim.Trace.length tr);
-        Alcotest.(check int) "resize clears drop count" 0
-          (Sim.Trace.dropped tr);
-        for i = 1 to 5 do
-          Sim.Trace.record tr (Sim.Time.ms (10 + i)) (Printf.sprintf "f%d" i)
-        done;
-        Alcotest.(check int) "new ring retains 2" 2 (Sim.Trace.length tr);
-        Alcotest.(check int) "new ring dropped 3" 3 (Sim.Trace.dropped tr);
-        Alcotest.(check (list string)) "newest survive" [ "f4"; "f5" ]
-          (List.map snd (Sim.Trace.to_list tr));
-        (* Widen to unbounded: again a fresh start, and nothing drops. *)
-        Sim.Trace.set_capacity tr None;
-        Alcotest.(check int) "unbounded resize clears" 0 (Sim.Trace.length tr);
-        Alcotest.(check int) "unbounded resize clears drops" 0
-          (Sim.Trace.dropped tr);
-        for i = 1 to 5000 do
-          Sim.Trace.record tr (Sim.Time.ms i) "x"
-        done;
-        Alcotest.(check int) "unbounded keeps all" 5000 (Sim.Trace.length tr);
-        Alcotest.(check int) "unbounded drops none" 0 (Sim.Trace.dropped tr));
     Alcotest.test_case "flow recording is gated separately from the sink"
       `Quick (fun () ->
         let tr = Sim.Trace.create () in
@@ -1089,7 +1001,6 @@ let export_tests =
             "\"thread_name\"";
             (* the quote in the arg value must be escaped *)
             "cam\\\"era";
-            "\"dropped\":0";
           ]);
     Alcotest.test_case "jsonl export: one object per line, oldest first" `Quick
       (fun () ->
@@ -1099,13 +1010,11 @@ let export_tests =
         let lines =
           String.split_on_char '\n' (String.trim (Sim.Trace.to_jsonl tr))
         in
-        Alcotest.(check int) "two events + footer" 3 (List.length lines);
+        Alcotest.(check int) "two events" 2 (List.length lines);
         Alcotest.(check bool) "first is a" true
           (contains (List.nth lines 0) "\"name\":\"a\"");
         Alcotest.(check bool) "second is b" true
-          (contains (List.nth lines 1) "\"name\":\"b\"");
-        Alcotest.(check bool) "footer closes the stream" true
-          (contains (List.nth lines 2) "\"meta\":\"dropped\""));
+          (contains (List.nth lines 1) "\"name\":\"b\""));
     Alcotest.test_case "chrome export renders flow phases with ids" `Quick
       (fun () ->
         let tr = Sim.Trace.create () in
@@ -1132,50 +1041,6 @@ let export_tests =
             "\"bp\":\"e\"";
             "\"id\":1";
           ]);
-    Alcotest.test_case "exporters carry the drop counter as a final record"
-      `Quick (fun () ->
-        let tr = Sim.Trace.create ~capacity:2 () in
-        for i = 1 to 5 do
-          Sim.Trace.instant tr ~ts:(Sim.Time.us i) ~sub:Sim.Subsystem.Atm
-            (Printf.sprintf "e%d" i)
-        done;
-        Alcotest.(check int) "three dropped" 3 (Sim.Trace.dropped tr);
-        let chrome = Sim.Json.to_string (Sim.Trace.to_chrome tr) in
-        List.iter
-          (fun needle ->
-            Alcotest.(check bool) ("chrome contains " ^ needle) true
-              (contains chrome needle))
-          [
-            "\"process_name\"";
-            "\"name\":\"pegasus\"";
-            "\"thread_name\"";
-            "\"trace_dropped\"";
-            "\"dropped\":3";
-          ];
-        (* The drop record closes the traceEvents array: no event
-           follows it. *)
-        let tail_from marker s =
-          let n = String.length marker and l = String.length s in
-          let rec last best i =
-            if i + n > l then best
-            else if String.sub s i n = marker then last (Some i) (i + 1)
-            else last best (i + 1)
-          in
-          match last None 0 with
-          | Some i -> String.sub s i (l - i)
-          | None -> Alcotest.failf "marker %s not found" marker
-        in
-        let tail = tail_from "trace_dropped" chrome in
-        Alcotest.(check bool) "no event after the drop record" false
-          (contains tail "\"ph\":\"i\"");
-        (* JSONL: one line per retained event plus the footer line. *)
-        let lines =
-          String.split_on_char '\n' (String.trim (Sim.Trace.to_jsonl tr))
-        in
-        Alcotest.(check int) "two events + footer" 3 (List.length lines);
-        Alcotest.(check string) "footer line"
-          "{\"meta\":\"dropped\",\"dropped\":3}"
-          (List.nth lines 2));
     Alcotest.test_case "json escaping and number forms" `Quick (fun () ->
         let j =
           Sim.Json.Obj
@@ -1202,7 +1067,7 @@ let export_tests =
    flows dominated by a 70us seek.  One stray step references a flow
    that never started. *)
 let audit_capture () =
-  let tr = Sim.Trace.create ~unbounded:true () in
+  let tr = Sim.Trace.create () in
   Sim.Trace.set_flows tr true;
   let flow ~stream ~t0 hops =
     let f = Sim.Trace.alloc_flow tr in
@@ -1430,24 +1295,24 @@ let metrics_tests =
             Alcotest.(check bool) ("contains " ^ needle) true
               (contains json needle))
           [ "\"value\":3"; "\"count\":1"; "\"p50\":42.0" ]);
-    Alcotest.test_case "dists are reservoir-bounded by default, exact on demand"
+    Alcotest.test_case
+      "dists are reservoir-bounded by default, within tolerance of an exact \
+       oracle"
       `Quick (fun () ->
         let bounded = Sim.Metrics.create () in
-        let exact = Sim.Metrics.create ~exact_dists:true () in
         let db = Sim.Metrics.dist bounded ~sub:Sim.Subsystem.Rpc "lat" in
-        let de = Sim.Metrics.dist exact ~sub:Sim.Subsystem.Rpc "lat" in
+        let exact = Sim.Stats.Samples.create () in
         for i = 1 to 50_000 do
           let x = Float.of_int (i mod 1000) in
           Sim.Metrics.observe db x;
-          Sim.Metrics.observe de x
+          Sim.Stats.Samples.add exact x
         done;
-        Alcotest.(check int) "both count the full stream" 50_000
+        Alcotest.(check int) "counts the full stream" 50_000
           (Sim.Metrics.observed db);
-        Alcotest.(check int) "exact too" 50_000 (Sim.Metrics.observed de);
         (* The exact p50 of (i mod 1000) over 50k draws is ~499.5; the
            reservoir must agree within its documented tolerance. *)
-        let ps m =
-          match Sim.Metrics.snapshot m with
+        let pb =
+          match Sim.Metrics.snapshot bounded with
           | Sim.Json.Obj [ ("metrics", Sim.Json.List [ Sim.Json.Obj fields ]) ]
             -> (
               match List.assoc "p50" fields with
@@ -1455,7 +1320,7 @@ let metrics_tests =
               | _ -> Alcotest.fail "p50 not a float")
           | _ -> Alcotest.fail "unexpected snapshot shape"
         in
-        let pe = ps exact and pb = ps bounded in
+        let pe = Sim.Stats.Samples.percentile exact 50.0 in
         Alcotest.(check bool) "exact p50 is exact" true
           (Float.abs (pe -. 499.5) < 1.0);
         Alcotest.(check bool) "reservoir p50 within tolerance" true

@@ -180,7 +180,7 @@ type outcome = {
    the end.  The differential property must keep holding, and both
    paths must record the same flow events. *)
 let run_differential ?(flows = false) ~trains ~seed () =
-  let trace = Sim.Trace.create ~unbounded:true ~enabled:flows () in
+  let trace = Sim.Trace.create ~enabled:flows () in
   if flows then begin
     Sim.Trace.set_flows trace true;
     Sim.Trace.set_cell_detail trace false
