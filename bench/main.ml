@@ -382,13 +382,21 @@ let bench_dist_observe () =
   let m = Sim.Metrics.create () in
   let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "bench.lat" in
   let ops = 1_000_000 in
-  let total =
-    best_of_3 (fun () ->
-        for i = 1 to ops do
-          Sim.Metrics.observe d (Float.of_int (i land 1023))
-        done)
+  let run () =
+    for i = 1 to ops do
+      Sim.Metrics.observe d (Float.of_int (i land 1023))
+    done
   in
-  ("dist_observe_reservoir", Sim.Json.Obj (throughput_json ~ops total))
+  let total = best_of_3 run in
+  (* One more pass over the full reservoir counts what an observation
+     allocates: the float argument's 2-word box, and nothing in the
+     summary or the reservoir's replacement draw. *)
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = (Gc.minor_words () -. w0) /. Float.of_int ops in
+  ( "dist_observe_reservoir",
+    Sim.Json.Obj
+      (throughput_json ~ops total @ [ ("minor_words_per_op", Sim.Json.Float words) ]) )
 
 (* Steady-state heap churn at a fixed queue depth: prefill [depth]
    entries, then time push+pop pairs.  Run for both the live 4-ary

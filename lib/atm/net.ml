@@ -10,12 +10,12 @@ type edge = {
 (* Host receive dispatch is a dense array indexed by VCI: signalling
    allocates small consecutive integers (from 32), so an option array
    replaces the per-cell Hashtbl probe of the old implementation. *)
-type node_kind =
-  | Switch_node of Switch.t
-  | Host_node of {
-      mutable rx_cells : (Cell.t -> unit) option array;
-      mutable rx_trains : (Train.t -> unit) option array;
-    }
+type host = {
+  mutable rx_cells : (Cell.t -> unit) option array;
+  mutable rx_trains : (Train.t -> unit) option array;
+}
+
+type node_kind = Switch_node of Switch.t | Host_node of host
 
 (* Adjacency is a growable array (first [edge_count] slots live, in
    attach order) so [connect] appends in O(1) and an E-edge fabric
@@ -130,31 +130,23 @@ let grown arr vci =
     narr
   end
 
-let host_rx t id (cell : Cell.t) =
-  match t.nodes.(id).kind with
-  | Host_node h -> begin
-      match slot h.rx_cells cell.vci with
-      | Some handler -> handler cell
-      | None -> ()  (* cell for a closed VC: dropped on the floor *)
-    end
-  | Switch_node _ -> assert false
+let host_rx h (cell : Cell.t) =
+  match slot h.rx_cells cell.vci with
+  | Some handler -> handler cell
+  | None -> ()  (* cell for a closed VC: dropped on the floor *)
 
-let host_rx_train t id (train : Train.t) =
-  match t.nodes.(id).kind with
-  | Host_node h -> begin
-      match slot h.rx_trains train.Train.vci with
-      | Some handler -> handler train
-      | None -> (
-          (* No train-aware handler: fan the window out to the cell
-             handler at its completion instant. *)
-          match slot h.rx_cells train.Train.vci with
-          | Some handler ->
-              for i = 0 to Train.count train - 1 do
-                handler (Train.cell train i)
-              done
-          | None -> ())
-    end
-  | Switch_node _ -> assert false
+let host_rx_train h (train : Train.t) =
+  match slot h.rx_trains train.Train.vci with
+  | Some handler -> handler train
+  | None -> (
+      (* No train-aware handler: fan the window out to the cell
+         handler at its completion instant. *)
+      match slot h.rx_cells train.Train.vci with
+      | Some handler ->
+          for i = 0 to Train.count train - 1 do
+            handler (Train.cell train i)
+          done
+      | None -> ())
 
 let host_rx_capacity t id =
   match t.nodes.(id).kind with
@@ -179,13 +171,13 @@ let alloc_port t id =
 let rx_for t id port =
   match t.nodes.(id).kind with
   | Switch_node sw -> fun cell -> Switch.input sw port cell
-  | Host_node _ -> fun cell -> host_rx t id cell
+  | Host_node h -> host_rx h
 
 let rx_train_for t id port =
   match t.nodes.(id).kind with
   | Switch_node sw ->
       Link.Stream (fun train ~arrivals_ns -> Switch.input_train sw port train ~arrivals_ns)
-  | Host_node _ -> Link.Frame_end (fun train -> host_rx_train t id train)
+  | Host_node h -> Link.Frame_end (host_rx_train h)
 
 let connect t ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
     ?(queue_cells = 256) a b =

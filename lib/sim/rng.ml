@@ -6,26 +6,38 @@ type zipf_cache = { zn : int; zs : float; cdf : float array }
    rebuild an O(n) table on every call. *)
 let zipf_cache_slots = 8
 
-type t = { mutable state : int64; mutable zipf : zipf_cache list }
+(* The SplitMix64 state lives in an 8-byte [Bytes] rather than a
+   [mutable int64] field: a record field of type [int64] holds a
+   pointer to a boxed value, so every draw would allocate a fresh box
+   for the new state.  [Bytes.get_int64_ne]/[set_int64_ne] read and
+   write the raw 64 bits in place, and with [int64] inlined the value
+   stays in a register, so a draw allocates nothing.  The byte order
+   is never observed: the bytes only ever hold the state between two
+   draws of the same process. *)
+type t = { state : Bytes.t; mutable zipf : zipf_cache list }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ?(seed = 0x5DEECE66DL) () = { state = seed; zipf = [] }
+let of_state s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 s;
+  { state; zipf = [] }
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ?(seed = 0x5DEECE66DL) () = of_state seed
 
-let split t =
-  let seed = int64 t in
-  { state = mix64 seed; zipf = [] }
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
-let float t =
+let split t = of_state (mix64 (int64 t))
+
+let[@inline] float t =
   (* 53 random bits scaled to [0,1) *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

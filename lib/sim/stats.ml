@@ -1,6 +1,10 @@
 module Summary = struct
-  type t = {
-    mutable n : int;
+  (* The five floats live in their own all-float record, which OCaml
+     stores flat (unboxed doubles).  Mixed with the [int] count in one
+     record, every float field would be a pointer to a boxed double,
+     and each [add] would allocate a fresh box per float it stores --
+     per delivered ATM cell, through {!Metrics.observe}. *)
+  type acc = {
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -8,58 +12,68 @@ module Summary = struct
     mutable total : float;
   }
 
+  type t = { mutable n : int; f : acc }
+
   let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+    { n = 0; f = { mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 } }
 
   let add t x =
     t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. Float.of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.total <- t.total +. x
+    let f = t.f in
+    let delta = x -. f.mean in
+    f.mean <- f.mean +. (delta /. Float.of_int t.n);
+    f.m2 <- f.m2 +. (delta *. (x -. f.mean));
+    if x < f.min then f.min <- x;
+    if x > f.max then f.max <- x;
+    f.total <- f.total +. x
 
   let clear t =
     t.n <- 0;
-    t.mean <- 0.0;
-    t.m2 <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.total <- 0.0
+    let f = t.f in
+    f.mean <- 0.0;
+    f.m2 <- 0.0;
+    f.min <- infinity;
+    f.max <- neg_infinity;
+    f.total <- 0.0
 
   let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. Float.of_int (t.n - 1)
+  let mean t = t.f.mean
+  let variance t = if t.n < 2 then 0.0 else t.f.m2 /. Float.of_int (t.n - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
+  let min t = t.f.min
+  let max t = t.f.max
+  let total t = t.f.total
+
+  let copy t = { n = t.n; f = { t.f with mean = t.f.mean } }
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0 then copy b
+    else if b.n = 0 then copy a
     else begin
       let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. Float.of_int b.n /. Float.of_int n) in
+      let fa = a.f and fb = b.f in
+      let delta = fb.mean -. fa.mean in
+      let mean = fa.mean +. (delta *. Float.of_int b.n /. Float.of_int n) in
       let m2 =
-        a.m2 +. b.m2
+        fa.m2 +. fb.m2
         +. (delta *. delta *. Float.of_int a.n *. Float.of_int b.n /. Float.of_int n)
       in
       {
         n;
-        mean;
-        m2;
-        min = Stdlib.min a.min b.min;
-        max = Stdlib.max a.max b.max;
-        total = a.total +. b.total;
+        f =
+          {
+            mean;
+            m2;
+            min = Stdlib.min fa.min fb.min;
+            max = Stdlib.max fa.max fb.max;
+            total = fa.total +. fb.total;
+          };
       }
     end
 
   let pp fmt t =
-    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n t.mean
-      (stddev t) t.min t.max
+    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n t.f.mean
+      (stddev t) t.f.min t.f.max
 end
 
 let percentile_sorted sorted n p =

@@ -4,8 +4,47 @@ let ms = Sim.Time.ms
 let us = Sim.Time.us
 let time = Alcotest.testable Sim.Time.pp ( = )
 
+(* The classic byte-at-a-time reflected CRC-32 (polynomial 0xEDB88320),
+   bit by bit with no tables: the oracle [Atm.Crc32.digest]'s
+   slicing-by-8 word loop must agree with on every range. *)
+let crc32_bytewise b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for j = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b j);
+    for _ = 0 to 7 do
+      if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
 let crc_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"digest equals the byte-at-a-time oracle at every small offset"
+         ~count:50
+         QCheck2.Gen.(string_size ~gen:char (return 80))
+         (fun s ->
+           let b = Bytes.of_string s in
+           let ok = ref true in
+           for pos = 0 to 15 do
+             for len = 0 to 64 do
+               if Atm.Crc32.digest b ~pos ~len <> crc32_bytewise b ~pos ~len then
+                 ok := false
+             done
+           done;
+           !ok));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"digest equals the byte-at-a-time oracle on large ranges"
+         ~count:30
+         QCheck2.Gen.(
+           triple (string_size ~gen:char (int_range 1 65_536)) nat nat)
+         (fun (s, p, l) ->
+           let b = Bytes.of_string s in
+           let pos = p mod Bytes.length b in
+           let len = l mod (Bytes.length b - pos + 1) in
+           Atm.Crc32.digest b ~pos ~len = crc32_bytewise b ~pos ~len));
     Alcotest.test_case "known vector" `Quick (fun () ->
         (* CRC-32("123456789") = 0xCBF43926 *)
         Alcotest.(check int) "check value" 0xCBF43926

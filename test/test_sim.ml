@@ -649,10 +649,121 @@ let rng_tests =
         let sorted = Array.copy arr in
         Array.sort compare sorted;
         Alcotest.(check bool) "perm" true (sorted = Array.init 50 Fun.id));
+    (* Pinned draws: every seeded stream in the experiments, and every
+       reservoir's replacement choices, follow from these. *)
+    Alcotest.test_case "golden SplitMix64 stream" `Quick (fun () ->
+        let r = Sim.Rng.create ~seed:42L () in
+        List.iter
+          (fun want -> Alcotest.(check int64) "seed 42" want (Sim.Rng.int64 r))
+          [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+        Alcotest.(check int64) "default seed" (-4027892392138983038L)
+          (Sim.Rng.int64 (Sim.Rng.create ()));
+        let parent = Sim.Rng.create ~seed:42L () in
+        let child = Sim.Rng.split parent in
+        List.iter
+          (fun want -> Alcotest.(check int64) "split child" want (Sim.Rng.int64 child))
+          [ -4204815582636234286L; 7040222520599051659L ];
+        Alcotest.(check int64) "parent after split" 2949826092126892291L
+          (Sim.Rng.int64 parent));
   ]
+
+(* [Sim.Stats.Summary] as it was while its floats shared a mixed record
+   with the count, kept as the oracle: the flat-float summary must
+   return bit-identical moments for every stream. *)
+module Summary_ref = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable min : float;
+    mutable max : float;
+    mutable total : float;
+  }
+
+  let create () =
+    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+
+  let add t x =
+    t.n <- t.n + 1;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. Float.of_int t.n);
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x;
+    t.total <- t.total +. x
+
+  let variance t = if t.n < 2 then 0.0 else t.m2 /. Float.of_int (t.n - 1)
+
+  let merge a b =
+    if a.n = 0 then { b with n = b.n }
+    else if b.n = 0 then { a with n = a.n }
+    else begin
+      let n = a.n + b.n in
+      let delta = b.mean -. a.mean in
+      let mean = a.mean +. (delta *. Float.of_int b.n /. Float.of_int n) in
+      let m2 =
+        a.m2 +. b.m2
+        +. (delta *. delta *. Float.of_int a.n *. Float.of_int b.n /. Float.of_int n)
+      in
+      {
+        n;
+        mean;
+        m2;
+        min = Stdlib.min a.min b.min;
+        max = Stdlib.max a.max b.max;
+        total = a.total +. b.total;
+      }
+    end
+end
+
+let same_summary (r : Summary_ref.t) s =
+  let bits = Int64.bits_of_float in
+  let same a b = Int64.equal (bits a) (bits b) in
+  let module S = Sim.Stats.Summary in
+  r.n = S.count s
+  && same r.mean (S.mean s)
+  && same (Summary_ref.variance r) (S.variance s)
+  && same r.min (S.min s)
+  && same r.max (S.max s)
+  && same r.total (S.total s)
+
+let summary_stream_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 60)
+         (frequency
+            [
+              (8, float_range (-1e6) 1e6);
+              (1, oneofl [ infinity; neg_infinity; 1e308; -1e308; 0.0; -0.0 ]);
+              (1, map Float.of_int small_signed_int);
+            ]))
+      nat)
 
 let stats_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"summary is bit-identical to the mixed-record oracle" ~count:500
+         summary_stream_gen
+         (fun (xs, cut) ->
+           let module S = Sim.Stats.Summary in
+           let cut = cut mod (List.length xs + 1) in
+           let ra = Summary_ref.create () and rb = Summary_ref.create () in
+           let a = S.create () and b = S.create () in
+           List.iteri
+             (fun i x ->
+               if i < cut then (Summary_ref.add ra x; S.add a x)
+               else (Summary_ref.add rb x; S.add b x))
+             xs;
+           (* A cleared summary replays like a fresh one. *)
+           let whole = S.create () and r = Summary_ref.create () in
+           List.iter (S.add whole) xs;
+           S.clear whole;
+           List.iter (S.add whole) xs;
+           List.iter (Summary_ref.add r) xs;
+           same_summary ra a && same_summary rb b && same_summary r whole
+           && same_summary (Summary_ref.merge ra rb) (S.merge a b)
+           && same_summary (Summary_ref.merge rb ra) (S.merge b a)));
     Alcotest.test_case "empty samples: every statistic raises" `Quick (fun () ->
         (* Regression: [mean] used to return 0.0 on an empty store
            while min/max/percentile raised, so an empty sample set
@@ -1372,6 +1483,59 @@ let daemon_tests =
           (Sim.Engine.now e));
   ]
 
+(* Minor-heap words one call of [f] allocates, averaged over [calls]
+   calls after [warmup] unmeasured ones. *)
+let minor_words_per_call ?(warmup = 1) ~calls f =
+  for _ = 1 to warmup do f () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do f () done;
+  (Gc.minor_words () -. w0) /. Float.of_int calls
+
+(* The per-cell metric path: every delivered ATM cell runs
+   [Metrics.observe], so a boxed float per store or a boxed [int64]
+   per reservoir draw shows up as megabytes per run. *)
+let alloc_tests =
+  let calls = 10_000 in
+  let check_words name ~max words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f minor words/call <= %g" name words max)
+      true (words <= max)
+  in
+  [
+    Alcotest.test_case "Rng draws allocate nothing" `Quick (fun () ->
+        let r = Sim.Rng.create ~seed:42L () in
+        check_words "Rng.int" ~max:0.01
+          (minor_words_per_call ~calls (fun () -> ignore (Sim.Rng.int r 1000)));
+        check_words "Rng.bool" ~max:0.01
+          (minor_words_per_call ~calls (fun () -> ignore (Sim.Rng.bool r)));
+        (* [zipf] returns an int but draws through [float] inside the
+           module, so this pins the float path itself at zero. *)
+        check_words "Rng.zipf" ~max:0.01
+          (minor_words_per_call ~calls (fun () -> ignore (Sim.Rng.zipf r ~n:100 ~s:1.1)));
+        (* Called from another module, [float] can only return its
+           result unboxed when it is inlined at the call site, which an
+           [-opaque] (dune dev profile) build of [sim] rules out: the 2
+           words are that result box, and a release build measures 0. *)
+        check_words "Rng.float" ~max:2.0
+          (minor_words_per_call ~calls (fun () ->
+               if Sim.Rng.float r >= 1.0 then Alcotest.fail "float >= 1")));
+    Alcotest.test_case "Summary.add allocates nothing" `Quick (fun () ->
+        let s = Sim.Stats.Summary.create () in
+        Sim.Stats.Summary.add s (-1.0);
+        check_words "Summary.add" ~max:0.01
+          (minor_words_per_call ~calls (fun () -> Sim.Stats.Summary.add s 3.5)));
+    Alcotest.test_case "Metrics.observe boxes only its argument" `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "test.lat" in
+        let i = ref 0 in
+        (* The warm-up fills the reservoir, so the measured calls take
+           its replacement draw. *)
+        check_words "Metrics.observe" ~max:2.0
+          (minor_words_per_call ~warmup:2_048 ~calls (fun () ->
+               incr i;
+               Sim.Metrics.observe d (Float.of_int (!i land 1023)))));
+  ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -1381,6 +1545,7 @@ let () =
       ("rng", rng_tests);
       ("stats", stats_tests);
       ("reservoir", reservoir_tests);
+      ("alloc", alloc_tests);
       ("trace", trace_tests);
       ("export", export_tests);
       ("audit", audit_tests);
