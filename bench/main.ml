@@ -58,6 +58,15 @@ let op_aal5 =
     let r = Atm.Aal5.Reassembler.create () in
     List.iter (fun c -> ignore (Atm.Aal5.Reassembler.push r c)) cells
 
+(* The train path on an intact frame: sealed PDU, no receiver blit and
+   no CRC, one payload copy out. *)
+let op_aal5_train =
+  let payload = Bytes.create 8192 in
+  fun () ->
+    let train = Atm.Aal5.segment_train ~vci:1 payload in
+    let r = Atm.Aal5.Reassembler.create () in
+    ignore (Atm.Aal5.Reassembler.push_train r train)
+
 let op_switch =
   let e = Sim.Engine.create () in
   let sw = Atm.Switch.create e ~name:"sw" ~ports:16 () in
@@ -186,6 +195,7 @@ let ops : (string * (unit -> unit)) list =
     ("rng: int64", op_rng);
     ("crc32: 1KB", op_crc);
     ("aal5: segment+reassemble 1KB", op_aal5);
+    ("aal5: segment_train+push_train 8KB", op_aal5_train);
     ("switch: route lookup", op_switch);
     ("tile: marshal+unmarshal", op_tile);
     ("scheduler: atropos select (8 domains)", op_select);

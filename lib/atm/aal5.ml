@@ -5,8 +5,10 @@ let frame_cells len =
 
 (* Build the CPCS-PDU for a payload: payload, zero padding, and the
    8-byte trailer (UU=0, CPI=0, length, CRC).  The CRC covers the PDU
-   with the CRC field itself zeroed, which is how we verify it too. *)
-let build_pdu payload =
+   with the CRC field itself zeroed, which is how we verify it too.
+   The train path leaves the CRC to {!Train}, which writes it only if
+   some reader can need it. *)
+let pdu_without_crc payload =
   let len = Bytes.length payload in
   if len > 0xffff then invalid_arg "Aal5.segment: payload too long";
   let ncells = frame_cells len in
@@ -14,19 +16,18 @@ let build_pdu payload =
   let pdu = Bytes.make pdu_len '\000' in
   Bytes.blit payload 0 pdu 0 len;
   Util.put_u16 pdu (pdu_len - 6) len;
-  let crc = Crc32.digest pdu ~pos:0 ~len:(pdu_len - 4) in
-  Util.put_u32 pdu (pdu_len - 4) crc;
   pdu
 
 let segment ~vci ?(flow = Sim.Trace.no_flow) payload =
-  let pdu = build_pdu payload in
+  let pdu = pdu_without_crc payload in
+  Crc32.put_trailer pdu;
   let ncells = Bytes.length pdu / Cell.payload_bytes in
   List.init ncells (fun i ->
       Cell.view ~vci ~last:(i = ncells - 1) ~flow pdu
         ~off:(i * Cell.payload_bytes))
 
 let segment_train ~vci ?(flow = Sim.Trace.no_flow) payload =
-  Train.make ~vci ~flow (build_pdu payload)
+  Train.seal ~vci ~flow (pdu_without_crc payload)
 
 type error = Crc_mismatch | Length_mismatch | Too_long
 
@@ -36,37 +37,69 @@ let pp_error fmt = function
   | Too_long -> Format.pp_print_string fmt "frame too long"
 
 module Reassembler = struct
+  (* Two accumulators, at most one of them non-empty.  [pdu, len) holds
+     blitted bytes, checked by a real CRC.  [held, next) tracks a
+     sealed PDU by handle: its cells [0, next) have arrived in order
+     and are still exactly the sender's, so nothing is copied until the
+     frame completes or the run breaks. *)
   type t = {
     max_frame : int;
     mutable pdu : bytes;  (* accumulated payload bytes, [0, len) valid *)
     mutable len : int;
+    mutable held : Train.pdu;  (* the tracked sealed PDU, when [next > 0] *)
+    mutable next : int;  (* absolute cell expected next from [held] *)
     mutable cur_flow : int;  (* flow of the frame being accumulated *)
     mutable done_flow : int;  (* flow of the last completed frame *)
   }
 
+  let no_pdu =
+    Train.pdu (Train.make ~vci:0 (Bytes.make Cell.payload_bytes '\000'))
+
   let create ?(max_frame = 1 lsl 16) () =
     {
       max_frame;
-      pdu = Bytes.create (32 * Cell.payload_bytes);
+      pdu = Bytes.empty;
       len = 0;
+      held = no_pdu;
+      next = 0;
       cur_flow = Sim.Trace.no_flow;
       done_flow = Sim.Trace.no_flow;
     }
 
   let reset t =
     t.len <- 0;
+    t.held <- no_pdu;
+    t.next <- 0;
     t.cur_flow <- Sim.Trace.no_flow
 
-  let pending_cells t = t.len / Cell.payload_bytes
+  let pending_cells t = (t.len / Cell.payload_bytes) + t.next
   let last_flow t = t.done_flow
 
+  (* The buffer is allocated on first use: a VC whose frames all arrive
+     intact never needs one. *)
   let ensure t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.pdu then begin
-      let ncap = Stdlib.max needed (2 * Bytes.length t.pdu) in
+      let ncap =
+        Stdlib.max needed
+          (Stdlib.max (2 * Bytes.length t.pdu) (32 * Cell.payload_bytes))
+      in
       let npdu = Bytes.create ncap in
       Bytes.blit t.pdu 0 npdu 0 t.len;
       t.pdu <- npdu
+    end
+
+  (* Leave the tracked run: blit its prefix, exactly the bytes the
+     per-window blits would have made, so the copying path carries on
+     from the same state. *)
+  let materialise t =
+    if t.next > 0 then begin
+      let n = t.next * Cell.payload_bytes in
+      ensure t n;
+      Train.blit t.held ~pos:0 t.pdu 0 n;
+      t.len <- n;
+      t.held <- no_pdu;
+      t.next <- 0
     end
 
   let reassemble t =
@@ -84,6 +117,7 @@ module Reassembler = struct
     end
 
   let push t (cell : Cell.t) =
+    materialise t;
     if t.len = 0 then t.cur_flow <- cell.flow;
     ensure t Cell.payload_bytes;
     Bytes.blit cell.buf cell.off t.pdu t.len Cell.payload_bytes;
@@ -95,32 +129,64 @@ module Reassembler = struct
     end
     else None
 
-  (* One blit for a whole train window.  [push_train] behaves exactly as
-     pushing the window's cells one by one: the (rare) overflow path,
-     where [Too_long] fires partway through, falls back to the per-cell
-     loop and can yield more than one result. *)
+  (* A window of a sealed PDU that starts a frame at cell 0, or
+     continues the tracked PDU at exactly the expected cell, is taken
+     by handle: an intact frame is never blitted and never hashed, only
+     its payload is copied out once at the end.  Anything else
+     materialises the tracked prefix and takes the copying path, one
+     blit per window and a real CRC.  Either way [push_train] behaves
+     exactly as pushing the window's cells one by one: the (rare)
+     overflow path, where [Too_long] fires partway through, falls back
+     to the per-cell loop and can yield more than one result. *)
   let push_train t (train : Train.t) =
     let n = Train.count train in
     let bytes_len = n * Cell.payload_bytes in
     let last = Train.contains_last train in
     (* Only non-last cells can trigger Too_long. *)
     let overflow_span = if last then bytes_len - Cell.payload_bytes else bytes_len in
-    if t.len + overflow_span <= t.max_frame then begin
-      if t.len = 0 then t.cur_flow <- train.Train.flow;
-      ensure t bytes_len;
-      Bytes.blit (Train.buf train)
-        (Train.first train * Cell.payload_bytes)
-        t.pdu t.len bytes_len;
-      t.len <- t.len + bytes_len;
-      if last then [ reassemble t ] else []
+    let pending = t.len + (t.next * Cell.payload_bytes) in
+    let fits = pending + overflow_span <= t.max_frame in
+    let p = Train.pdu train in
+    if
+      fits && Train.is_sealed p
+      && (if t.next = 0 then t.len = 0 && Train.first train = 0
+          else t.held == p && Train.first train = t.next)
+    then begin
+      if t.next = 0 then t.cur_flow <- train.Train.flow;
+      if last then begin
+        t.done_flow <- t.cur_flow;
+        reset t;
+        let pdu_len = Train.total train * Cell.payload_bytes in
+        let len = Train.get_u16 p (pdu_len - 6) in
+        if frame_cells len * Cell.payload_bytes <> pdu_len then
+          [ Error Length_mismatch ]
+        else [ Ok (Train.copy p ~pos:0 ~len) ]
+      end
+      else begin
+        t.held <- p;
+        t.next <- Train.first train + n;
+        []
+      end
     end
     else begin
-      let results = ref [] in
-      for i = 0 to n - 1 do
-        match push t (Train.cell train i) with
-        | None -> ()
-        | Some r -> results := r :: !results
-      done;
-      List.rev !results
+      materialise t;
+      if fits then begin
+        if t.len = 0 then t.cur_flow <- train.Train.flow;
+        ensure t bytes_len;
+        Train.blit p
+          ~pos:(Train.first train * Cell.payload_bytes)
+          t.pdu t.len bytes_len;
+        t.len <- t.len + bytes_len;
+        if last then [ reassemble t ] else []
+      end
+      else begin
+        let results = ref [] in
+        for i = 0 to n - 1 do
+          match push t (Train.cell train i) with
+          | None -> ()
+          | Some r -> results := r :: !results
+        done;
+        List.rev !results
+      end
     end
 end

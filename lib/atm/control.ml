@@ -149,17 +149,16 @@ module Playback = struct
             let mid = (!lo + !hi) / 2 in
             if Sim.Time.(fst arr_b.(mid) < stamp) then lo := mid + 1 else hi := mid
           done;
-          let candidate i =
-            if i >= 0 && i < Array.length arr_b then Some arr_b.(i) else None
-          in
-          match (candidate (!lo - 1), candidate !lo) with
-          | Some (s1, r1), Some (s2, r2) ->
-              if
-                Sim.Time.(sub stamp s1 < sub s2 stamp)
-              then (s1, r1)
-              else (s2, r2)
-          | Some e, None | None, Some e -> e
-          | None, None -> assert false
+          (* [arr_b] is non-empty and [!lo] ends in [0, length - 1]: the
+             search's first candidate always exists, the one below it
+             only when [!lo > 0]. *)
+          let s2, r2 = arr_b.(!lo) in
+          if !lo > 0 then begin
+            let s1, r1 = arr_b.(!lo - 1) in
+            if Sim.Time.(sub stamp s1 < sub s2 stamp) then (s1, r1)
+            else (s2, r2)
+          end
+          else (s2, r2)
         in
         List.iter
           (fun (stamp_a, rendered_a) ->

@@ -73,3 +73,7 @@ let digest b ~pos ~len =
   !c lxor 0xFFFFFFFF
 
 let digest_bytes b = digest b ~pos:0 ~len:(Bytes.length b)
+
+let put_trailer pdu =
+  let n = Bytes.length pdu - 4 in
+  Bytes.set_int32_be pdu n (Int32.of_int (digest pdu ~pos:0 ~len:n))

@@ -5,3 +5,7 @@ val digest : bytes -> pos:int -> len:int -> int
 
 val digest_bytes : bytes -> int
 (** CRC of a whole buffer. *)
+
+val put_trailer : bytes -> unit
+(** [put_trailer pdu] stores the CRC of everything before [pdu]'s last
+    four bytes, big-endian, in those four bytes: the AAL5 trailer CRC. *)

@@ -185,8 +185,8 @@ let cell_rx t (cell : Cell.t) =
       | Some r -> handle_reassembly t cell.vci w r
     end
 
-(* The fast path: a whole train window lands in the reassembler as one
-   blit.  Completion instants match [cell_rx] — a frame finishes when
+(* The fast path: a whole train window lands in the reassembler at
+   once.  Completion instants match [cell_rx] — a frame finishes when
    its last cell arrives, which is exactly when the train window
    carrying that cell is delivered. *)
 let train_rx t (train : Train.t) =

@@ -23,8 +23,8 @@ val cell_rx : t -> Cell.t -> unit
 
 val train_rx : t -> Train.t -> unit
 (** The handler to pass as [rx_train]: reassembles a whole train window
-    with a single blit.  Frame completion instants are identical to
-    feeding {!cell_rx} cell by cell. *)
+    at once ({!Aal5.Reassembler.push_train}).  Frame completion instants
+    are identical to feeding {!cell_rx} cell by cell. *)
 
 (** {1 Window management} *)
 

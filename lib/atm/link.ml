@@ -423,7 +423,7 @@ let send_train ?(priority = false) ?offers_ns t train =
       | Some ot
         when ot.ot_prio = priority
              && ot.ot_lat = lat
-             && ot.ot_train.Train.buf == train.Train.buf
+             && Train.same_pdu ot.ot_train train
              && ot.ot_train.Train.vci = train.Train.vci
              && ot.ot_train.Train.first + ot.ot_n = train.Train.first
              && ot.ot_n + n <= Array.length ot.ot_offers
@@ -438,15 +438,7 @@ let send_train ?(priority = false) ?offers_ns t train =
         | Some o -> Array.blit o 0 ot.ot_offers base n
         | None -> Array.fill ot.ot_offers base n now);
         analyze ot.ot_offers ot.ot_starts base;
-        ot.ot_train <-
-          {
-            Train.vci = train.Train.vci;
-            flow = train.Train.flow;
-            buf = train.Train.buf;
-            first = ot.ot_train.Train.first;
-            count = base + n;
-            total = train.Train.total;
-          };
+        ot.ot_train <- Train.extend ot.ot_train ~count:(base + n);
         ot.ot_n <- base + n;
         reschedule t ot
     | None ->

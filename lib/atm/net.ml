@@ -289,9 +289,11 @@ type vc = {
 }
 
 let open_vc ?reserve_bps ?rx_train ?(path_sel = 0) t ~src ~dst ~rx =
-  (match (t.nodes.(src).kind, t.nodes.(dst).kind) with
-  | Host_node _, Host_node _ -> ()
-  | _ -> failwith "Net.open_vc: endpoints must be hosts");
+  let dst_host =
+    match (t.nodes.(src).kind, t.nodes.(dst).kind) with
+    | Host_node _, Host_node h -> h
+    | _ -> failwith "Net.open_vc: endpoints must be hosts"
+  in
   match shortest_path ~sel:path_sel t ~src ~dst with
   | None | Some [] -> failwith "Net.open_vc: no path"
   | Some (first :: _ as path) ->
@@ -300,12 +302,14 @@ let open_vc ?reserve_bps ?rx_train ?(path_sel = 0) t ~src ~dst ~rx =
       let n = Array.length path_arr in
       (* The host-transparent path search guarantees every intermediate
          node is a switch; check before touching any state so a bad path
-         can never half-install. *)
-      for i = 0 to n - 2 do
-        match t.nodes.(path_arr.(i).dst).kind with
-        | Switch_node _ -> ()
-        | Host_node _ -> failwith "Net.open_vc: path crosses a host"
-      done;
+         can never half-install.  [sws.(i)] is the switch entered over
+         edge [i]. *)
+      let sws =
+        Array.init (n - 1) (fun i ->
+            match t.nodes.(path_arr.(i).dst).kind with
+            | Switch_node sw -> sw
+            | Host_node _ -> failwith "Net.open_vc: path crosses a host")
+      in
       (match reserve_bps with
       | None -> ()
       | Some bps ->
@@ -344,26 +348,22 @@ let open_vc ?reserve_bps ?rx_train ?(path_sel = 0) t ~src ~dst ~rx =
       (try
          for i = 0 to n - 1 do
            vcis.(i) <- alloc_vci t path_arr.(i).dst path_arr.(i).in_port;
-           if i > 0 then
-             match t.nodes.(path_arr.(i - 1).dst).kind with
-             | Switch_node sw ->
-                 Switch.add_route ~priority sw ~in_port:path_arr.(i - 1).in_port
-                   ~in_vci:vcis.(i - 1) ~out_port:path_arr.(i).out_port
-                   ~out_vci:vcis.(i);
-                 entries := (sw, path_arr.(i - 1).in_port, vcis.(i - 1)) :: !entries
-             | Host_node _ -> assert false  (* checked above *)
+           if i > 0 then begin
+             let sw = sws.(i - 1) in
+             Switch.add_route ~priority sw ~in_port:path_arr.(i - 1).in_port
+               ~in_vci:vcis.(i - 1) ~out_port:path_arr.(i).out_port
+               ~out_vci:vcis.(i);
+             entries := (sw, path_arr.(i - 1).in_port, vcis.(i - 1)) :: !entries
+           end
          done
        with e ->
          rollback ();
          raise e);
       let dst_vci = vcis.(n - 1) in
-      (match t.nodes.(dst).kind with
-      | Host_node h ->
-          h.rx_cells <- grown h.rx_cells dst_vci;
-          h.rx_cells.(dst_vci) <- Some rx;
-          h.rx_trains <- grown h.rx_trains dst_vci;
-          h.rx_trains.(dst_vci) <- rx_train
-      | Switch_node _ -> assert false);
+      dst_host.rx_cells <- grown dst_host.rx_cells dst_vci;
+      dst_host.rx_cells.(dst_vci) <- Some rx;
+      dst_host.rx_trains <- grown dst_host.rx_trains dst_vci;
+      dst_host.rx_trains.(dst_vci) <- rx_train;
       {
         vc_net = t;
         net_src = src;
@@ -453,23 +453,8 @@ let vc_dst_vci vc = vc.dst_vci
 let vc_path_links vc = vc.path_links
 let vc_live vc = vc.live
 
-let frame_rx_pair ~rx ?(on_error = fun _ -> ()) () =
-  let reassembler = Aal5.Reassembler.create () in
-  let handle = function Ok payload -> rx payload | Error e -> on_error e in
-  let cell_fn cell =
-    match Aal5.Reassembler.push reassembler cell with
-    | None -> ()
-    | Some r -> handle r
-  in
-  let train_fn train =
-    List.iter handle (Aal5.Reassembler.push_train reassembler train)
-  in
-  (cell_fn, train_fn)
-
-let frame_rx ~rx ?on_error () = fst (frame_rx_pair ~rx ?on_error ())
-
-(* Flow-aware variant: the handler also receives the causal flow id
-   carried by the frame's cells (Sim.Trace.no_flow when untraced). *)
+(* The handler also receives the causal flow id carried by the frame's
+   cells (Sim.Trace.no_flow when untraced). *)
 let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
   let reassembler = Aal5.Reassembler.create () in
   let handle = function
@@ -485,6 +470,11 @@ let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
     List.iter handle (Aal5.Reassembler.push_train reassembler train)
   in
   (cell_fn, train_fn)
+
+let frame_rx_pair ~rx ?on_error () =
+  frame_rx_pair_flow ~rx:(fun ~flow:_ payload -> rx payload) ?on_error ()
+
+let frame_rx ~rx ?on_error () = fst (frame_rx_pair ~rx ?on_error ())
 
 (* {1 Multi-server attach and frame pipes}
 

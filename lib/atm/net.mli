@@ -139,7 +139,8 @@ val frame_rx_pair :
   (Cell.t -> unit) * (Train.t -> unit)
 (** Like {!frame_rx}, but returns a cell handler and a train handler
     sharing one reassembler — pass both to {!open_vc} so frames arriving
-    as trains are reassembled with a single blit. *)
+    as trains are reassembled window by window (an intact one with no
+    blit and no CRC, see {!Aal5}). *)
 
 val frame_rx_pair_flow :
   rx:(flow:int -> bytes -> unit) ->

@@ -179,7 +179,7 @@ let input_train t in_port (train : Train.t) ~arrivals_ns =
           ~ts:(Sim.Time.ns arrivals_ns.(n - 1))
           ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:train.Train.flow
           ("sw:" ^ t.name);
-      train.Train.vci <- out_vci;
+      Train.set_vci train out_vci;
       let fabric = Sim.Time.to_ns t.fabric_delay in
       for i = 0 to n - 1 do
         arrivals_ns.(i) <- arrivals_ns.(i) + fabric

@@ -404,6 +404,187 @@ let differential_tests =
           [ 1L; 42L; 1994L ]);
   ]
 
+(* {1 Verify-once reassembly against the copy-everything oracle}
+
+   [Aal5_copy] is the reassembler before verify-once frames, kept
+   verbatim: it blits every window at arrival and CRCs every frame.
+   Each frame is built twice from one payload, once per side, so the
+   oracle's reads (which revoke seals) never touch the production PDU.
+   Every plan step is applied to both sides and the outcomes, flows
+   and pending counts must agree after every push. *)
+
+module Oracle = Aal5_oracle.Aal5_copy.Reassembler
+module R = Atm.Aal5.Reassembler
+
+type act =
+  | Whole  (** the window as one train *)
+  | Cells  (** the window cell by cell, through [Train.cell] *)
+  | Drop  (** lost on the way *)
+  | Forged  (** the same cells from an unsealed [Train.make] copy *)
+
+(* One window: [take] cells (0 = the rest of the frame), and maybe a
+   write, through [Train.buf], to a byte of this not-yet-delivered
+   window before it is pushed. *)
+type step = { take : int; act : act; write : (int * char) option }
+type frame = { size : int; steps : step list }
+type plan = { max_frame : int option; frames : frame list }
+
+let pp_act fmt a =
+  Format.pp_print_string fmt
+    (match a with
+    | Whole -> "whole"
+    | Cells -> "cells"
+    | Drop -> "drop"
+    | Forged -> "forged")
+
+let pp_plan fmt p =
+  Format.fprintf fmt "max_frame=%s"
+    (match p.max_frame with None -> "default" | Some m -> string_of_int m);
+  List.iter
+    (fun f ->
+      Format.fprintf fmt "@ [%dB:" f.size;
+      List.iter
+        (fun s ->
+          Format.fprintf fmt " %d%a%s" s.take pp_act s.act
+            (match s.write with
+            | None -> ""
+            | Some (pos, c) -> Printf.sprintf "!%d=%C" pos c))
+        f.steps;
+      Format.fprintf fmt "]")
+    p.frames
+
+let plan_gen =
+  QCheck2.Gen.(
+    let act =
+      frequency
+        [
+          (6, return Whole); (1, return Cells); (1, return Drop);
+          (1, return Forged);
+        ]
+    in
+    let write =
+      frequency
+        [ (8, return None); (1, map2 (fun p c -> Some (p, c)) nat printable) ]
+    in
+    let step =
+      map3
+        (fun take act write -> { take; act; write })
+        (frequency [ (1, return 0); (4, int_range 1 8); (1, int_range 1 200) ])
+        act write
+    in
+    let size =
+      frequency
+        [
+          (4, int_range 0 200); (3, int_range 0 3_000); (1, int_range 0 65_535);
+        ]
+    in
+    let frame =
+      map2
+        (fun size steps -> { size; steps })
+        size
+        (list_size (int_range 0 8) step)
+    in
+    map2
+      (fun max_frame frames -> { max_frame; frames })
+      (frequency
+         [
+           (3, return None); (1, map (fun k -> Some (48 * k)) (int_range 1 60));
+         ])
+      (list_size (int_range 1 6) frame))
+
+let run_plan p =
+  let r = R.create ?max_frame:p.max_frame () in
+  let o = Oracle.create ?max_frame:p.max_frame () in
+  let agree what got want =
+    if got <> want then
+      QCheck2.Test.fail_reportf "%s differs from the oracle" what;
+    if R.pending_cells r <> Oracle.pending_cells o then
+      QCheck2.Test.fail_reportf "pending_cells %d, oracle %d after %s"
+        (R.pending_cells r) (Oracle.pending_cells o) what;
+    if R.last_flow r <> Oracle.last_flow o then
+      QCheck2.Test.fail_reportf "last_flow %d, oracle %d after %s"
+        (R.last_flow r) (Oracle.last_flow o) what
+  in
+  let per_cell push train =
+    List.init (Atm.Train.count train) (fun i -> push (Atm.Train.cell train i))
+  in
+  List.iteri
+    (fun fi f ->
+      let payload =
+        Bytes.init f.size (fun i -> Char.chr (((i * 31) + fi) land 0xff))
+      in
+      let flow = fi + 1 in
+      let pt = Atm.Aal5.segment_train ~vci:1 ~flow payload in
+      let ot = Atm.Aal5.segment_train ~vci:1 ~flow payload in
+      let forged () =
+        let pdu = (List.hd (Atm.Aal5.segment ~vci:1 payload)).Atm.Cell.buf in
+        Atm.Train.make ~vci:1 ~flow pdu
+      in
+      let n = Atm.Train.count pt in
+      let rec go at = function
+        | _ when at >= n -> ()
+        | steps ->
+            let s, rest =
+              match steps with
+              | [] -> ({ take = 0; act = Whole; write = None }, [])
+              | s :: rest -> (s, rest)
+            in
+            let count =
+              if s.take = 0 then n - at else Stdlib.min s.take (n - at)
+            in
+            (match s.write with
+            | None -> ()
+            | Some (pos, c) ->
+                let bytes = count * Atm.Cell.payload_bytes in
+                let off = (at * Atm.Cell.payload_bytes) + (pos mod bytes) in
+                Bytes.set (Atm.Train.buf pt) off c;
+                Bytes.set (Atm.Train.buf ot) off c);
+            let window t = Atm.Train.sub t ~first:at ~count in
+            (match s.act with
+            | Drop -> ()
+            | Whole ->
+                agree "push_train"
+                  (R.push_train r (window pt))
+                  (Oracle.push_train o (window ot))
+            | Forged ->
+                agree "forged push_train"
+                  (R.push_train r (window (forged ())))
+                  (Oracle.push_train o (window (forged ())))
+            | Cells ->
+                agree "per-cell push"
+                  (per_cell (R.push r) (window pt))
+                  (per_cell (Oracle.push o) (window ot)));
+            go (at + count) rest
+      in
+      go 0 f.steps)
+    p.frames;
+  true
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"verify-once reassembly equals the copying oracle" ~count:300
+         ~print:(Format.asprintf "@[<hov>%a@]" pp_plan)
+         plan_gen run_plan);
+    Alcotest.test_case "an intact train frame is never hashed" `Quick (fun () ->
+        let payload = Bytes.init 5_000 (fun i -> Char.chr (i land 0xff)) in
+        let train = Atm.Aal5.segment_train ~vci:1 payload in
+        let n = Atm.Train.count train in
+        let r = R.create () in
+        let head = R.push_train r (Atm.Train.sub train ~first:0 ~count:10) in
+        let tail =
+          R.push_train r (Atm.Train.sub train ~first:10 ~count:(n - 10))
+        in
+        (match head @ tail with
+        | [ Ok b ] -> Alcotest.(check bytes) "payload" payload b
+        | _ -> Alcotest.fail "expected one frame");
+        let pdu = Atm.Train.pdu train in
+        Alcotest.(check bool) "still sealed" true (Atm.Train.is_sealed pdu);
+        Alcotest.(check bool)
+          "sender CRC never written" true (Atm.Train.crc_due pdu));
+  ]
+
 let () =
   Alcotest.run "train"
     [
@@ -411,4 +592,5 @@ let () =
       ("crc32-kat", crc_tests);
       ("link-train", link_tests);
       ("differential", differential_tests);
+      ("reassembly-oracle", oracle_tests);
     ]
