@@ -592,5 +592,5 @@ let () =
       ("crc32-kat", crc_tests);
       ("link-train", link_tests);
       ("differential", differential_tests);
-      ("reassembly-oracle", oracle_tests);
+      ("aal5-oracle", oracle_tests);
     ]
