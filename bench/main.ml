@@ -399,8 +399,11 @@ let bench_dist_observe () =
   in
   let total = best_of_3 run in
   (* One more pass over the full reservoir counts what an observation
-     allocates: the float argument's 2-word box, and nothing in the
-     summary or the reservoir's replacement draw. *)
+     allocates: nothing.  [observe] inlines (release build), so the
+     float reaches the summary and the reservoir unboxed, and the
+     replacement draw allocates nothing either.  A dev build compiles
+     the library -opaque, so there the call boxes its argument (2
+     words). *)
   let w0 = Gc.minor_words () in
   run ();
   let words = (Gc.minor_words () -. w0) /. Float.of_int ops in

@@ -13,8 +13,10 @@ let pdu_without_crc payload =
   if len > 0xffff then invalid_arg "Aal5.segment: payload too long";
   let ncells = frame_cells len in
   let pdu_len = ncells * Cell.payload_bytes in
-  let pdu = Bytes.make pdu_len '\000' in
+  let pdu = Bytes.create pdu_len in
   Bytes.blit payload 0 pdu 0 len;
+  (* Zero only what the payload does not cover: padding and trailer. *)
+  Bytes.fill pdu len (pdu_len - len) '\000';
   Util.put_u16 pdu (pdu_len - 6) len;
   pdu
 
@@ -81,8 +83,8 @@ module Reassembler = struct
     let needed = t.len + extra in
     if needed > Bytes.length t.pdu then begin
       let ncap =
-        Stdlib.max needed
-          (Stdlib.max (2 * Bytes.length t.pdu) (32 * Cell.payload_bytes))
+        Int.max needed
+          (Int.max (2 * Bytes.length t.pdu) (32 * Cell.payload_bytes))
       in
       let npdu = Bytes.create ncap in
       Bytes.blit t.pdu 0 npdu 0 t.len;

@@ -136,7 +136,7 @@ module Sink = struct
 
   let cells_received t = t.received
   let late_cells t = t.late
-  let lost_cells t = Stdlib.max 0 (t.highest_seq + 1 - t.received)
+  let lost_cells t = Int.max 0 (t.highest_seq + 1 - t.received)
   let delay_us t = t.delay_us
 
   let jitter_us t =

@@ -35,7 +35,7 @@ let create engine ~vc ?(width = 640) ?(height = 480) ?(fps = 25) ?(mode = Raw)
     | Raw -> Tile.raw_bytes
     | Jpeg { ratio } ->
         if ratio < 1.0 then invalid_arg "Camera.create: JPEG ratio < 1";
-        Stdlib.max 2 (Float.to_int (Float.of_int Tile.raw_bytes /. ratio))
+        Int.max 2 (Float.to_int (Float.of_int Tile.raw_bytes /. ratio))
   in
   {
     engine;
@@ -114,7 +114,7 @@ let packets_of_row t ~row ~captured_at =
   let rec split first acc =
     if first >= tiles_per_row then List.rev acc
     else begin
-      let count = Stdlib.min t.max_packet_tiles (tiles_per_row - first) in
+      let count = Int.min t.max_packet_tiles (tiles_per_row - first) in
       let data = Bytes.create (count * t.bytes_per_tile) in
       fill_tile_data t data ~row ~first_tile:first ~count;
       let packet =

@@ -88,7 +88,7 @@ let raise_window t ~vci =
 let lower_window t ~vci =
   let w = window t vci in
   let lowest =
-    Hashtbl.fold (fun _ w' acc -> Stdlib.min acc w'.wz) t.windows w.wz
+    Hashtbl.fold (fun _ w' acc -> Int.min acc w'.wz) t.windows w.wz
   in
   w.wz <- lowest - 1
 

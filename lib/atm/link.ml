@@ -311,20 +311,40 @@ and fire t ot =
 
 (* Process committed cells whose virtual offer has passed [w]: apply
    the per-cell counters and hand maximal contiguous delivered runs to
-   the receiver as zero-copy sub-trains. *)
+   the receiver as zero-copy sub-trains.  The loop keeps sent and
+   dropped cells as run totals and applies them (counters, metrics,
+   busy time) before every hand-over and at the end, so a receiver
+   reads exactly the values per-cell updates would have left; the
+   queue-delay observations stay one per cell, in cell order. *)
 and process_upto t ot w =
   let i = ref ot.ot_done in
   let run0 = ref (-1) in
+  let sent = ref 0 and dropped = ref 0 in
+  let apply () =
+    if !sent > 0 then begin
+      t.sent <- t.sent + !sent;
+      Sim.Metrics.incr ~by:!sent t.m_sent;
+      t.busy <- Sim.Time.add t.busy (Sim.Time.mul t.cell_time !sent);
+      sent := 0
+    end;
+    if !dropped > 0 then begin
+      t.dropped <- t.dropped + !dropped;
+      Sim.Metrics.incr ~by:!dropped t.m_dropped;
+      dropped := 0
+    end
+  in
   let flush_run last =
+    apply ();
     let first = !run0 in
     run0 := -1;
     let count = last - first + 1 in
     let sub = Train.sub ot.ot_train ~first ~count in
     match t.rx_train with
     | Some (Stream f) ->
-        let arrivals =
-          Array.init count (fun k -> ot.ot_starts.(first + k) + ot.ot_lat)
-        in
+        let arrivals = Array.make count 0 in
+        for k = 0 to count - 1 do
+          arrivals.(k) <- ot.ot_starts.(first + k) + ot.ot_lat
+        done;
         f sub ~arrivals_ns:arrivals
     | Some (Frame_end f) -> f sub
     | None ->
@@ -335,22 +355,20 @@ and process_upto t ot w =
   while !i < ot.ot_n && ot.ot_offers.(!i) <= w do
     let s = ot.ot_starts.(!i) in
     if s >= 0 then begin
-      t.sent <- t.sent + 1;
-      Sim.Metrics.incr t.m_sent;
+      incr sent;
       let qd_us = Sim.Time.to_us_f (Sim.Time.ns (s - ot.ot_offers.(!i))) in
       Sim.Metrics.observe t.m_queue_delay qd_us;
       Sim.Metrics.sample t.m_queue_delay_win qd_us;
-      t.busy <- Sim.Time.add t.busy t.cell_time;
       if !run0 < 0 then run0 := !i
     end
     else begin
-      t.dropped <- t.dropped + 1;
-      Sim.Metrics.incr t.m_dropped;
+      incr dropped;
       if !run0 >= 0 then flush_run (!i - 1)
     end;
     incr i
   done;
   if !run0 >= 0 then flush_run (!i - 1);
+  apply ();
   ot.ot_done <- !i
 
 let send_train ?(priority = false) ?offers_ns t train =
@@ -394,7 +412,7 @@ let send_train ?(priority = false) ?offers_ns t train =
       if priority then begin
         let rf = ref (Sim.Time.to_ns t.res_next_free) in
         for i = base to base + n - 1 do
-          let s = Stdlib.max offers.(i) !rf + ctn in
+          let s = Int.max offers.(i) !rf + ctn in
           starts.(i) <- s;
           rf := s + ctn
         done;
@@ -407,7 +425,7 @@ let send_train ?(priority = false) ?offers_ns t train =
           let o = offers.(i) in
           let depth = if !nf <= o then 0 else (!nf - o + ctn - 1) / ctn in
           if depth < t.queue_cells then begin
-            let s = Stdlib.max (Stdlib.max o !nf) rf in
+            let s = Int.max (Int.max o !nf) rf in
             starts.(i) <- s;
             nf := s + ctn
           end
@@ -448,7 +466,7 @@ let send_train ?(priority = false) ?offers_ns t train =
         (* Room for the PDU's remaining cells, so continuation chunks
            append without reallocating. *)
         let cap =
-          Stdlib.max n (train.Train.total - train.Train.first)
+          Int.max n (train.Train.total - train.Train.first)
         in
         let offers = Array.make cap 0 in
         (match offers_ns with
@@ -480,7 +498,7 @@ let reserve t ~bps =
     true
   end
 
-let release t ~bps = t.reserved_bps <- Stdlib.max 0 (t.reserved_bps - bps)
+let release t ~bps = t.reserved_bps <- Int.max 0 (t.reserved_bps - bps)
 let reserved_bps t = t.reserved_bps
 
 let bandwidth_bps t = t.bandwidth_bps

@@ -46,7 +46,9 @@ type verdict = Accepted of contract | Degraded of contract | Rejected
 type t = {
   qm_net : Net.t;
   path_attempts : int;
-  mutable contracts : contract list;  (* live, newest first *)
+  mutable contracts : contract list;  (* newest first, with tombstones *)
+  mutable n_live : int;
+  mutable n_dead : int;  (* torn-down contracts still in [contracts] *)
   mutable next_id : int;
   mutable n_offered : int;
   mutable n_accepted : int;
@@ -57,8 +59,10 @@ type t = {
   mutable n_reviews : int;
 }
 
+let is_live c = match c.c_vc with Some _ -> true | None -> false
+
 let tier_bps ~requested fraction =
-  Stdlib.max 1 (int_of_float (Float.of_int requested *. fraction))
+  Int.max 1 (int_of_float (Float.of_int requested *. fraction))
 
 let review t =
   t.n_reviews <- t.n_reviews + 1;
@@ -88,6 +92,8 @@ let create ?interval ?(path_attempts = 1) net () =
       qm_net = net;
       path_attempts;
       contracts = [];
+      n_live = 0;
+      n_dead = 0;
       next_id = 0;
       n_offered = 0;
       n_accepted = 0;
@@ -153,6 +159,7 @@ let request ?deadline ?rx_train t ~cls ~bps ~src ~dst ~rx () =
       in
       t.next_id <- t.next_id + 1;
       t.contracts <- c :: t.contracts;
+      t.n_live <- t.n_live + 1;
       if tier = 0 then begin
         t.n_accepted <- t.n_accepted + 1;
         Accepted c
@@ -168,11 +175,22 @@ let teardown t c =
   | Some vc ->
       Net.close_vc t.qm_net vc;
       c.c_vc <- None;
-      t.contracts <- List.filter (fun c' -> c' != c) t.contracts;
-      t.n_released <- t.n_released + 1
+      t.n_live <- t.n_live - 1;
+      t.n_dead <- t.n_dead + 1;
+      t.n_released <- t.n_released + 1;
+      (* A teardown leaves a tombstone ([c_vc = None], which [review]
+         skips); sweeping them only once they outnumber live contracts
+         makes a teardown O(1) amortised instead of a filter over every
+         live contract. *)
+      if t.n_dead > t.n_live then begin
+        t.contracts <- List.filter is_live t.contracts;
+        t.n_dead <- 0
+      end
 
-let live t = List.rev t.contracts
-let live_count t = List.length t.contracts
+let live t =
+  List.fold_left (fun acc c -> if is_live c then c :: acc else acc) [] t.contracts
+
+let live_count t = t.n_live
 let offered t = t.n_offered
 let accepted t = t.n_accepted
 let degraded t = t.n_degraded

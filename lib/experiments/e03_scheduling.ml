@@ -61,8 +61,8 @@ let scenario ~policy ~duration =
       Sim.Time.to_ns duration
       / Sim.Time.to_ns (Nemesis.Domain.params d).Nemesis.Domain.period
     in
-    let not_done = Stdlib.max 0 (expected - done_) in
-    100.0 *. Float.of_int (missed + not_done) /. Float.of_int (Stdlib.max 1 expected)
+    let not_done = Int.max 0 (expected - done_) in
+    100.0 *. Float.of_int (missed + not_done) /. Float.of_int (Int.max 1 expected)
   in
   let batch_ms =
     Sim.Time.to_ms_f

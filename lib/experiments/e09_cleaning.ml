@@ -53,7 +53,7 @@ let run ?(quick = false) () =
             Printf.sprintf "%4d MB (%d segs)" mb total;
             label;
             string_of_int
-              (Stdlib.max s.Pfs.Cleaner.entries_processed
+              (Int.max s.Pfs.Cleaner.entries_processed
                  s.Pfs.Cleaner.table_entries_scanned);
             Format.asprintf "%a" Sim.Time.pp s.Pfs.Cleaner.scan_cost;
             Format.asprintf "%a" Sim.Time.pp s.Pfs.Cleaner.duration;

@@ -134,7 +134,7 @@ let raid_run ~iso ~fault_kind ~segments () =
   (!ok, segments, Pfs.Raid.degraded_reads raid)
 
 let run ?(quick = false) ?(domains = 1) () =
-  let workers = if Sim.Par.available then max 1 domains else 1 in
+  let workers = if Sim.Par.available then Int.max 1 domains else 1 in
   let iso = workers > 1 in
   let frames = if quick then 25 else 75 in
   let calls = if quick then 100 else 300 in

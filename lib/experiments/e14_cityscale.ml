@@ -249,7 +249,7 @@ let render r =
   ]
 
 let run ?(quick = false) ?(domains = 1) ?(seed = 1) () =
-  let workers = if Sim.Par.available then Stdlib.max 1 domains else 1 in
+  let workers = if Sim.Par.available then Int.max 1 domains else 1 in
   let loads = [| 10; 100; 1_000; 10_000 |] in
   let rows =
     Sim.Par.map ~workers

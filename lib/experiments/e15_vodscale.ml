@@ -155,7 +155,7 @@ let row ~quick ~clients ~mode () =
   let chunk_bytes = 32_768 in
   let send_msg free i vc key ~flow ~len ~k =
     let rec go off =
-      let n = Stdlib.min chunk_bytes (len - off) in
+      let n = Int.min chunk_bytes (len - off) in
       let last = off + n >= len in
       Queue.push (if last then k else fun () -> ()) (q key);
       pace free i vc ~flow ~len:n;
@@ -319,7 +319,7 @@ let render r =
 let client_counts ~quick = if quick then [| 8; 64 |] else [| 8; 24; 64 |]
 
 let results ?(quick = false) ?(domains = 1) () =
-  let workers = if Sim.Par.available then Stdlib.max 1 domains else 1 in
+  let workers = if Sim.Par.available then Int.max 1 domains else 1 in
   let cases =
     Array.concat
       (Array.to_list

@@ -41,11 +41,11 @@ let pp fmt t =
     (fun row ->
       List.iteri
         (fun i cell ->
-          if i < ncols then widths.(i) <- Stdlib.max widths.(i) (String.length cell))
+          if i < ncols then widths.(i) <- Int.max widths.(i) (String.length cell))
         row)
     all;
   let total = Array.fold_left ( + ) 0 widths + (3 * (ncols - 1)) in
-  let rule c = String.make (Stdlib.max total 40) c in
+  let rule c = String.make (Int.max total 40) c in
   Format.fprintf fmt "@[<v>%s@,%s: %s@," (rule '=') t.id t.title;
   List.iter (fun l -> Format.fprintf fmt "  %s@," l) (wrap 74 ("Claim: " ^ t.claim));
   Format.fprintf fmt "%s@," (rule '-');
@@ -54,7 +54,7 @@ let pp fmt t =
       (fun i cell ->
         let pad = widths.(i) - String.length cell in
         if i > 0 then Format.fprintf fmt " | ";
-        Format.fprintf fmt "%s%s" cell (String.make (Stdlib.max 0 pad) ' '))
+        Format.fprintf fmt "%s%s" cell (String.make (Int.max 0 pad) ' '))
       row;
     Format.fprintf fmt "@,"
   in

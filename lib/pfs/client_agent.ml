@@ -222,7 +222,7 @@ module Agent = struct
      a crashed server.  Retry events are daemons: a server that never
      recovers must not keep an unbounded run alive. *)
   let backoff t attempt =
-    let shift = Stdlib.min attempt 16 in
+    let shift = Int.min attempt 16 in
     let base =
       Sim.Time.min (Sim.Time.mul t.retry_delay (1 lsl shift)) t.retry_cap
     in

@@ -105,8 +105,8 @@ let rec play_tick p =
       match p.p_on_end with Some f -> f () | None -> ()
     end
     else begin
-      let off = Stdlib.max 0 p.p_pos in
-      let len = Stdlib.min p.p_chunk (size - off) in
+      let off = Int.max 0 p.p_pos in
+      let len = Int.min p.p_chunk (size - off) in
       let deadline = Sim.Time.add (Sim.Engine.now t.engine) (chunk_period p) in
       Log.read t.log p.p_fid ~off ~len ~k:(fun _ ->
           if p.p_live then begin

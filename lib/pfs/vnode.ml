@@ -121,7 +121,7 @@ let flush_dir t dir k =
       Buffer.add_string payload (Printf.sprintf "%c %08d %s\n" kind fid name))
     dir.entries;
   let data = Buffer.to_bytes payload in
-  let len = Stdlib.max 16 (Bytes.length data) in
+  let len = Int.max 16 (Bytes.length data) in
   dir.d_mtime <- Sim.Engine.now t.engine;
   Log.write t.vlog dir.d_fid ~off:0 ~data:(Bytes.cat data (Bytes.make (len - Bytes.length data) '\000')) ~len
     (function
@@ -187,7 +187,7 @@ let write t path ~off ?data ~len k =
   match file_at t path with
   | Error e -> k (Error e)
   | Ok f ->
-      f.f_size <- Stdlib.max f.f_size (off + len);
+      f.f_size <- Int.max f.f_size (off + len);
       f.f_mtime <- Sim.Engine.now t.engine;
       (* Written blocks are hot: prime the cache. *)
       if len > 0 then ignore (touch_blocks t f.f_fid ~off ~len);
@@ -200,7 +200,7 @@ let read t path ~off ~len k =
   match file_at t path with
   | Error e -> k (Error e)
   | Ok f ->
-      let len = Stdlib.max 0 (Stdlib.min len (f.f_size - off)) in
+      let len = Int.max 0 (Int.min len (f.f_size - off)) in
       if len = 0 then k (Ok (Some Bytes.empty))
       else begin
         let all_hit = touch_blocks t f.f_fid ~off ~len in

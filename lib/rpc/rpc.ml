@@ -384,7 +384,7 @@ let call conn ~iface ~meth payload ~reply =
         Atm.Net.send_frame ?flow conn.c_req_vc frame;
         (* Capped exponential backoff, with a jitter factor so that a
            herd of clients does not retransmit in lock-step. *)
-        let shift = Stdlib.min (p.tries - 1) 16 in
+        let shift = Int.min (p.tries - 1) 16 in
         let base =
           Sim.Time.min (Sim.Time.mul conn.retransmit (1 lsl shift))
             conn.backoff_cap

@@ -89,7 +89,7 @@ let pop_min h =
       let c0 = (4 * !i) + 1 in
       if c0 >= n then continue := false
       else begin
-        let last = Stdlib.min (c0 + 3) (n - 1) in
+        let last = Int.min (c0 + 3) (n - 1) in
         let m = ref c0 in
         let mk = ref h.keys.(c0) and ms = ref h.seqs.(c0) in
         for c = c0 + 1 to last do

@@ -178,23 +178,27 @@ let cell g = g.g_cell
 
 (* The disabled path is the contract: one load, one branch, no call —
    cheap enough to leave in every hot loop (CI gates it via
-   BENCH_monitor.json).  The enabled path fans the sample out to every
-   attached sink. *)
-let sample o v =
-  if o.o_on then begin
-    o.o_count <- o.o_count + 1;
-    let sinks = o.o_sinks in
-    for i = 0 to Array.length sinks - 1 do
-      (Array.unsafe_get sinks i) v
-    done
-  end
+   BENCH_monitor.json).  Only the test is inlined; the fan-out to the
+   attached sinks stays out of line, so a disabled sample neither calls
+   nor boxes its float. *)
+let[@inline never] fan_out o v =
+  o.o_count <- o.o_count + 1;
+  let sinks = o.o_sinks in
+  for i = 0 to Array.length sinks - 1 do
+    (Array.unsafe_get sinks i) v
+  done
+
+let[@inline] sample o v = if o.o_on then fan_out o v
 
 let attach_sink o f =
   o.o_sinks <- Array.append o.o_sinks [| f |];
   o.o_on <- true
 
-(* Out of line: inlined into [Atm.Link], it would box the float twice. *)
-let[@inline never] observe d x =
+(* Inlined, with {!Stats.Summary.add} and {!Stats.Reservoir.add}, so a
+   caller's float reaches the flat summary and the reservoir's float
+   array without ever being boxed: [Atm.Link] observes once per
+   delivered cell. *)
+let[@inline] observe d x =
   Stats.Summary.add d.d_summary x;
   Stats.Reservoir.add d.d_res x
 

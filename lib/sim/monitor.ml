@@ -124,7 +124,7 @@ let windowed ?(q = 99.0) obs = Windowed { obs; q }
    signal neither fires nor blocks a resolution. *)
 let aggregate e j =
   let k = e.slo.Slo.slow_windows in
-  let j = Stdlib.min j e.filled in
+  let j = Int.min j e.filled in
   if j = 0 then None
   else
     match e.source with

@@ -94,7 +94,7 @@ let run ~workers f =
 
 let map ~workers tasks =
   let n = Array.length tasks in
-  let workers = Stdlib.max 1 (Stdlib.min workers (Stdlib.max 1 n)) in
+  let workers = Int.max 1 (Int.min workers (Int.max 1 n)) in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in

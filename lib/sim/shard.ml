@@ -178,7 +178,7 @@ let run ?(domains = 1) ?until t =
       if n = 1 then run_single t ?until ()
       else begin
         let workers =
-          if Par.available then Stdlib.max 1 (Stdlib.min domains n) else 1
+          if Par.available then Int.max 1 (Int.min domains n) else 1
         in
         (* Messages posted during setup enter the first epoch. *)
         for d = 0 to n - 1 do

@@ -17,7 +17,7 @@ module Summary = struct
   let create () =
     { n = 0; f = { mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 } }
 
-  let add t x =
+  let[@inline] add t x =
     t.n <- t.n + 1;
     let f = t.f in
     let delta = x -. f.mean in
@@ -64,8 +64,9 @@ module Summary = struct
           {
             mean;
             m2;
-            min = Stdlib.min fa.min fb.min;
-            max = Stdlib.max fa.max fb.max;
+            (* Stdlib's NaN behaviour without its polymorphic compare. *)
+            min = (if fa.min <= fb.min then fa.min else fb.min);
+            max = (if fa.max >= fb.max then fa.max else fb.max);
             total = fa.total +. fb.total;
           };
       }
@@ -79,7 +80,7 @@ end
 let percentile_sorted sorted n p =
   let rank = p /. 100.0 *. Float.of_int (n - 1) in
   let lo = Float.to_int (Float.floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let hi = Int.min (lo + 1) (n - 1) in
   let frac = rank -. Float.of_int lo in
   sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
@@ -181,7 +182,7 @@ module Reservoir = struct
 
   let capacity t = Array.length t.data
 
-  let add t x =
+  let[@inline] add t x =
     t.seen <- t.seen + 1;
     let cap = Array.length t.data in
     if t.stored < cap then begin

@@ -91,7 +91,7 @@ let clear t =
 let push t ev =
   if t.enabled then begin
     if t.count = Array.length t.entries then begin
-      let bigger = Array.make (Stdlib.max 64 (2 * t.count)) None in
+      let bigger = Array.make (Int.max 64 (2 * t.count)) None in
       Array.blit t.entries 0 bigger 0 t.count;
       t.entries <- bigger
     end;

@@ -19,6 +19,6 @@ let next_frame_bytes t =
   let innovation_sd = t.sigma *. sqrt (1.0 -. (t.rho *. t.rho)) in
   let innovation = Sim.Rng.normal t.rng ~mu:0.0 ~sigma:innovation_sd in
   t.state <- (t.rho *. t.state) +. innovation;
-  Stdlib.max 1024 (Float.to_int (t.mean +. t.state))
+  Int.max 1024 (Float.to_int (t.mean +. t.state))
 
 let mean_rate_bps t = t.mean *. 8.0 *. Float.of_int t.fps

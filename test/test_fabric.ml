@@ -340,6 +340,70 @@ let qos_mgr_tests =
         Atm.Net.close_vc net vc;
         Alcotest.(check bool) "closed VC refuses" false
           (Atm.Net.vc_adjust_reservation vc ~bps:20_000_000));
+    Alcotest.test_case
+      "scripted request/teardown/review churn matches a list model" `Quick
+      (fun () ->
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        let net = Atm.Net.create e in
+        let s = Atm.Net.add_switch net ~name:"s" ~ports:4 in
+        let hosts =
+          Array.init 4 (fun i -> Atm.Net.add_host net ~name:(Printf.sprintf "h%d" i))
+        in
+        Array.iter (fun h -> Atm.Net.connect net h s) hosts;
+        let qm = Atm.Qos_mgr.create net () in
+        let rng = Sim.Rng.create ~seed:17L () in
+        (* The model: live contracts in admission order, every contract
+           ever admitted (torn down or not), and the release count. *)
+        let model = ref [] and admitted = ref [||] and released = ref 0 in
+        let ids l = List.map Atm.Qos_mgr.contract_id l in
+        for step = 1 to 2_000 do
+          (match Sim.Rng.int rng 8 with
+          | 0 | 1 | 2 | 3 -> (
+              let src = hosts.(Sim.Rng.int rng 4) in
+              let dst = hosts.(Sim.Rng.int rng 4) in
+              if src <> dst then
+                let cls =
+                  match Sim.Rng.int rng 3 with
+                  | 0 -> Atm.Qos_mgr.Video
+                  | 1 -> Atm.Qos_mgr.Audio
+                  | _ -> Atm.Qos_mgr.Rpc
+                in
+                match
+                  Atm.Qos_mgr.request qm ~cls
+                    ~bps:(1_000_000 + Sim.Rng.int rng 20_000_000)
+                    ~src ~dst
+                    ~rx:(fun _ -> ())
+                    ()
+                with
+                | Atm.Qos_mgr.Accepted c | Atm.Qos_mgr.Degraded c ->
+                    model := !model @ [ c ];
+                    admitted := Array.append !admitted [| c |]
+                | Atm.Qos_mgr.Rejected -> ())
+          | 4 | 5 | 6 ->
+              (* Any contract ever admitted, so repeated teardowns of
+                 dead ones exercise idempotence. *)
+              let n = Array.length !admitted in
+              if n > 0 then begin
+                let c = !admitted.(Sim.Rng.int rng n) in
+                if List.memq c !model then begin
+                  model := List.filter (fun c' -> c' != c) !model;
+                  incr released
+                end;
+                Atm.Qos_mgr.teardown qm c
+              end
+          | _ -> Atm.Qos_mgr.review qm);
+          let here = Printf.sprintf "step %d: " step in
+          Alcotest.(check (list int)) (here ^ "live") (ids !model)
+            (ids (Atm.Qos_mgr.live qm));
+          Alcotest.(check int) (here ^ "live_count") (List.length !model)
+            (Atm.Qos_mgr.live_count qm);
+          Alcotest.(check int) (here ^ "released") !released
+            (Atm.Qos_mgr.released qm)
+        done;
+        (* The script is not vacuous: contracts came and went in bulk,
+           and some were still live at the end. *)
+        Alcotest.(check bool) "many releases" true (!released > 200);
+        Alcotest.(check bool) "some still live" true (!model <> []));
   ]
 
 let () =

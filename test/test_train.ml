@@ -169,6 +169,7 @@ let link_tests =
 type outcome = {
   frames : (string * int * int * int) list;  (* sink, t_ns, len, digest *)
   counters : (int * int * int) list;  (* per link: sent, dropped, lost *)
+  busy : int list;  (* per link: busy time, ns *)
   switched : int list;
   errors : int;
   flow_events : (int * string * int) list;  (* ts_ns, name, flow; sorted *)
@@ -179,13 +180,14 @@ type outcome = {
    frame gets a flow id, switches record per-hop steps, sinks record
    the end.  The differential property must keep holding, and both
    paths must record the same flow events. *)
-let run_differential ?(flows = false) ~trains ~seed () =
+let run_differential ?(flows = false) ?(metrics = Sim.Metrics.create ())
+    ~trains ~seed () =
   let trace = Sim.Trace.create ~enabled:flows () in
   if flows then begin
     Sim.Trace.set_flows trace true;
     Sim.Trace.set_cell_detail trace false
   end;
-  let e = Sim.Engine.create ~trace () in
+  let e = Sim.Engine.create ~trace ~metrics () in
   let net = Atm.Net.create e in
   Atm.Net.set_train_path net trains;
   let a = Atm.Net.add_host net ~name:"a" in
@@ -302,6 +304,10 @@ let run_differential ?(flows = false) ~trains ~seed () =
         (fun l ->
           (Atm.Link.cells_sent l, Atm.Link.cells_dropped l, Atm.Link.cells_lost l))
         (Atm.Net.links net);
+    busy =
+      List.map
+        (fun l -> Sim.Time.to_ns (Atm.Link.busy_time l))
+        (Atm.Net.links net);
     switched = List.map Atm.Switch.cells_switched (Atm.Net.switches net);
     errors = !errors;
     flow_events =
@@ -343,6 +349,9 @@ let differential_tests =
                     "seed %Ld: frame diverged: %s@%dns len=%d vs %s@%dns len=%d"
                     seed name t len name' t' len')
               slow.frames fast.frames;
+            Alcotest.(check (list int))
+              (Printf.sprintf "seed %Ld: per-link busy time" seed)
+              slow.busy fast.busy;
             Alcotest.(check bool)
               (Printf.sprintf "seed %Ld: counters" seed)
               true (slow = fast);
@@ -368,6 +377,7 @@ let differential_tests =
               true
               (slow.frames = fast.frames
               && slow.counters = fast.counters
+              && slow.busy = fast.busy
               && slow.switched = fast.switched
               && slow.errors = fast.errors);
             (* ...the recorded flow events agree between the paths... *)
@@ -402,6 +412,49 @@ let differential_tests =
               && untraced.counters = fast.counters
               && untraced.switched = fast.switched))
           [ 1L; 42L; 1994L ]);
+  ]
+
+(* The train run's queue-delay distribution at seed 1, to 17
+   significant digits.  Observation order feeds the reservoir, so any
+   reordering of the link's per-cell [observe] calls (batching them
+   with its per-run counters, say) moves the percentiles. *)
+let queue_delay_pin =
+  "count=22236 mean=277.67910235653801 stddev=320.65048510512315 min=0 \
+   max=1081.2 p50=97.519999999999996 p95=947.25599999999997 p99=1052.3724"
+
+let queue_delay_snapshot metrics =
+  let field fields k =
+    match List.assoc k fields with
+    | Sim.Json.Int n -> string_of_int n
+    | Sim.Json.Float f -> Printf.sprintf "%.17g" f
+    | _ -> Alcotest.failf "queue_delay_us: field %s is not a number" k
+  in
+  match Sim.Metrics.snapshot metrics with
+  | Sim.Json.Obj [ ("metrics", Sim.Json.List ms) ] -> (
+      let is_qd = function
+        | Sim.Json.Obj fields ->
+            List.assoc_opt "name" fields
+            = Some (Sim.Json.String "link.queue_delay_us")
+        | _ -> false
+      in
+      match List.find is_qd ms with
+      | Sim.Json.Obj fields ->
+          String.concat " "
+            (List.map
+               (fun k -> k ^ "=" ^ field fields k)
+               [ "count"; "mean"; "stddev"; "min"; "max"; "p50"; "p95"; "p99" ])
+      | _ -> Alcotest.fail "queue_delay_us: not an object")
+  | _ -> Alcotest.fail "unexpected snapshot shape"
+
+let queue_delay_tests =
+  [
+    Alcotest.test_case "train run's queue-delay snapshot at seed 1 is pinned"
+      `Quick (fun () ->
+        let metrics = Sim.Metrics.create () in
+        ignore (run_differential ~metrics ~trains:true ~seed:1L ());
+        Alcotest.(check string)
+          "link.queue_delay_us" queue_delay_pin
+          (queue_delay_snapshot metrics));
   ]
 
 (* {1 Verify-once reassembly against the copy-everything oracle}
@@ -591,6 +644,6 @@ let () =
       ("aal5-train", train_aal5_tests);
       ("crc32-kat", crc_tests);
       ("link-train", link_tests);
-      ("differential", differential_tests);
+      ("differential", differential_tests @ queue_delay_tests);
       ("aal5-oracle", oracle_tests);
     ]
