@@ -6,187 +6,59 @@
    code uses [Int.max]/[Int.min], [Sim.Time.max]/[Sim.Time.min], or a
    float-annotated [if a >= b then a else b].
 
-   Usage: lint_minmax FILE.ml...  Prints [file:line: ...] for every
-   [Stdlib.max]/[Stdlib.min] and every application of a bare
-   [max]/[min], and exits 1 if there is any.  Definitions
-   ([let max a b = ...]), record fields, labels and module-qualified
-   names such as [Time.max] pass.  Comments, strings and character
-   literals are blanked before the scan ([{|...|}] quoted strings are
-   not: library code has none). *)
+   Usage: lint_minmax FILE.ml...  Parses each file with the compiler's
+   own parser and prints [file:line: ...] for every expression that
+   names [max], [min], [Stdlib.max] or [Stdlib.min] (applied or passed
+   as a value), then exits 1 if there is any.  Definitions, labels,
+   record fields and other modules' [max]/[min] such as [Time.max] are
+   not expressions of that name, so they pass.  The check sees names,
+   not bindings: a use of a local variable called [max] or [min] is
+   reported too, so give such a variable another name. *)
 
-let is_ident c =
-  match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
+let polymorphic : Longident.t -> string option = function
+  | Lident (("max" | "min") as f) -> Some f
+  | Ldot (Lident "Stdlib", (("max" | "min") as f)) -> Some ("Stdlib." ^ f)
+  | _ -> None
 
-(* Replace the contents of comments, strings and character literals
-   with spaces, keeping newlines so line numbers survive. *)
-let blank src =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let wipe i = if src.[i] <> '\n' then Bytes.set out i ' ' in
-  (* Skip a string body starting after its opening quote; return the
-     index of the closing quote. *)
-  let rec string_end i =
-    if i >= n then n
-    else
-      match src.[i] with
-      | '"' -> i
-      | '\\' ->
-          wipe i;
-          if i + 1 < n then wipe (i + 1);
-          string_end (i + 2)
-      | _ ->
-          wipe i;
-          string_end (i + 1)
-  in
-  let rec code i =
-    if i < n then
-      match src.[i] with
-      | '(' when i + 1 < n && src.[i + 1] = '*' ->
-          wipe i;
-          wipe (i + 1);
-          comment 1 (i + 2)
-      | '"' -> code (string_end (i + 1) + 1)
-      | '\'' when i > 0 && is_ident src.[i - 1] -> code (i + 1)
-      | '\'' when i + 1 < n && src.[i + 1] = '\\' ->
-          (* An escaped character literal: '\n', '\'', '\\', '\000'. *)
-          let j = ref (i + 3) in
-          while !j < n && src.[!j] <> '\'' do
-            incr j
-          done;
-          for k = i + 1 to !j - 1 do
-            wipe k
-          done;
-          code (!j + 1)
-      | '\'' when i + 2 < n && src.[i + 2] = '\'' ->
-          wipe (i + 1);
-          code (i + 3)
-      | _ -> code (i + 1)
-  and comment depth i =
-    if i < n then
-      if src.[i] = '(' && i + 1 < n && src.[i + 1] = '*' then begin
-        wipe i;
-        wipe (i + 1);
-        comment (depth + 1) (i + 2)
-      end
-      else if src.[i] = '*' && i + 1 < n && src.[i + 1] = ')' then begin
-        wipe i;
-        wipe (i + 1);
-        if depth = 1 then code (i + 2) else comment (depth - 1) (i + 2)
-      end
-      else if src.[i] = '"' then begin
-        wipe i;
-        let j = string_end (i + 1) in
-        if j < n then wipe j;
-        comment depth (j + 1)
-      end
-      else begin
-        wipe i;
-        comment depth (i + 1)
-      end
-  in
-  code 0;
-  Bytes.to_string out
-
-let binders = [ "let"; "and"; "rec"; "val"; "fun" ]
-
-let keywords =
-  [ "in"; "then"; "else"; "with"; "do"; "done"; "and"; "of"; "to"; "downto";
-    "begin"; "end"; "when"; "as" ]
-
-(* The word ending just before [i] (skipping blanks), if any. *)
-let word_before s i =
-  let j = ref (i - 1) in
-  while !j >= 0 && (s.[!j] = ' ' || s.[!j] = '\n' || s.[!j] = '\t') do
-    decr j
-  done;
-  let e = !j + 1 in
-  while !j >= 0 && is_ident s.[!j] do
-    decr j
-  done;
-  String.sub s (!j + 1) (e - !j - 1)
-
-(* The first non-blank character at or after [i], and the word there. *)
-let next_token s i =
-  let n = String.length s in
-  let j = ref i in
-  while !j < n && (s.[!j] = ' ' || s.[!j] = '\n' || s.[!j] = '\t') do
-    incr j
-  done;
-  if !j >= n then (None, "")
-  else begin
-    let k = ref !j in
-    while !k < n && is_ident s.[!k] do
-      incr k
-    done;
-    (Some s.[!j], String.sub s !j (!k - !j))
-  end
-
-let starts_argument = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '(' | '[' | '!' | '"' | '\''
-    ->
-      true
-  | _ -> false
+(* Report paths relative to the project root. *)
+let rec shown p =
+  if String.length p > 3 && String.sub p 0 3 = "../" then
+    shown (String.sub p 3 (String.length p - 3))
+  else p
 
 let scan path =
   let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
+  let lexbuf = Lexing.from_channel ic in
+  Location.init lexbuf path;
+  let ast = Parse.implementation lexbuf in
   close_in ic;
-  let s = blank src in
-  let n = String.length s in
-  let line_of i =
-    let l = ref 1 in
-    for k = 0 to i - 1 do
-      if s.[k] = '\n' then incr l
-    done;
-    !l
-  in
-  let shown =
-    (* Report paths relative to the project root. *)
-    let rec strip p =
-      if String.length p > 3 && String.sub p 0 3 = "../" then
-        strip (String.sub p 3 (String.length p - 3))
-      else p
-    in
-    strip path
-  in
   let found = ref 0 in
-  let report i what =
-    incr found;
-    Printf.printf "%s:%d: %s (use Int.max/Int.min, Time.max/Time.min, or a \
-                   typed comparison)\n"
-      shown (line_of i) what
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; loc } -> (
+        match polymorphic txt with
+        | Some name ->
+            incr found;
+            Printf.printf
+              "%s:%d: %s (use Int.max/Int.min, Time.max/Time.min, or a \
+               typed comparison)\n"
+              (shown path) loc.loc_start.pos_lnum name
+        | None -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
   in
-  for i = 0 to n - 3 do
-    let w = String.sub s i 3 in
-    if (w = "max" || w = "min")
-       && (i + 3 >= n || not (is_ident s.[i + 3]))
-       && (i = 0 || not (is_ident s.[i - 1]))
-    then begin
-      let qualified = i > 0 && s.[i - 1] = '.' in
-      if qualified then begin
-        if i >= 7 && String.sub s (i - 7) 7 = "Stdlib." then
-          report i ("Stdlib." ^ w)
-      end
-      else if i > 0 && (match s.[i - 1] with '~' | '?' | '#' | '`' -> true | _ -> false)
-      then ()
-      else if List.mem (word_before s i) binders then ()
-      else
-        match next_token s (i + 3) with
-        | Some c, word when starts_argument c && not (List.mem word keywords)
-          ->
-            report i ("bare " ^ w ^ " applied")
-        | _ -> ()
-    end
-  done;
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it ast;
   !found
 
 let () =
   let files = List.tl (Array.to_list Sys.argv) in
-  let found = List.fold_left (fun acc f -> acc + scan f) 0 files in
-  if found > 0 then begin
-    Printf.printf "%d polymorphic max/min use%s in lib/\n" found
-      (if found = 1 then "" else "s");
-    exit 1
-  end
+  match List.fold_left (fun acc f -> acc + scan f) 0 files with
+  | 0 -> ()
+  | found ->
+      Printf.printf "%d polymorphic max/min use%s in lib/\n" found
+        (if found = 1 then "" else "s");
+      exit 1
+  | exception exn ->
+      Location.report_exception Format.err_formatter exn;
+      exit 2
